@@ -18,9 +18,11 @@ from .classical import (
     statistical_complexity,
 )
 from .quantum import (
+    ChainStatistics,
     QuantumModel,
     TmaxResult,
     build_quantum_model,
+    complexity,
     fidelity_saturation_check,
     find_tmax,
     mixture_eigenvalues,
@@ -66,6 +68,8 @@ __all__ = [
     "stationary_density",
     "quantum_statistical_complexity",
     "mixture_eigenvalues",
+    "ChainStatistics",
+    "complexity",
     "fidelity_saturation_check",
     "find_tmax",
     "TmaxResult",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distribution import FutureDistribution, entropy_bits
+from .distribution import FutureDistribution, binary_entropy_bits
 from .ising import TransitionMatrix
 
 __all__ = [
@@ -34,16 +34,19 @@ MERGE_TOL = 1e-12
 MAX_TABLE_LENGTH = 20  # 2**20-entry table guard
 
 
+def merged_rows(t: np.ndarray) -> np.ndarray:
+    """Whether the rows of each ``t`` (shape ``(..., 2, 2)``) coincide within
+    ``MERGE_TOL``: the causal states then merge, which is how the
+    infinite-temperature discontinuity shows up."""
+    return np.abs(t[..., 0, :] - t[..., 1, :]).max(axis=-1) <= MERGE_TOL
+
+
 def statistical_complexity(tm: TransitionMatrix) -> float:
     """Shannon entropy (bits) of the stationary causal-state distribution.
 
-    Returns 0 when the two rows of ``t`` coincide within ``MERGE_TOL``: the
-    causal states then have identical conditional futures and merge, which is
-    how the infinite-temperature discontinuity shows up.
+    Returns 0 when the causal states merge (see :func:`merged_rows`).
     """
-    if float(np.max(np.abs(tm.t[0] - tm.t[1]))) <= MERGE_TOL:
-        return 0.0
-    return entropy_bits(tm.p)
+    return 0.0 if merged_rows(tm.t) else float(binary_entropy_bits(tm.p.min()))
 
 
 def future_distribution(

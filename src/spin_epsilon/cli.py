@@ -6,7 +6,7 @@ invariant), 2 usage error.
 
 Option values resolve as flags > config file > built-in defaults.  The config
 file is flat ``KEY=VALUE`` lines (keys named like the long flags, underscores
-for dashes, ``#`` comments allowed).
+for dashes, ``#`` comments allowed); an unknown key is a usage error.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 
-from .classical import EpsilonMachine, sample_trajectory, statistical_complexity
+from .classical import EpsilonMachine, sample_trajectory
 from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
-from .quantum import build_quantum_model, find_tmax
+from .quantum import build_quantum_model, complexity, find_tmax
 from .sweep import compute_row, rows_to_csv, rows_to_json, run_sweep, temperature_grid
 from .verify import run_verification
 
@@ -67,6 +67,9 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = load_config(args.config) if args.config else {}
+        for key in self.config:
+            if key not in _DEFAULTS:
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
 
     def get(self, name: str, cast=float):
         flag = getattr(self.args, name, None)
@@ -104,7 +107,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     opt = _Options(args)
     row = compute_row(opt.get("J"), opt.get("B"), opt.get("T"))
     payload = json.dumps(row.as_dict())
-    if args.format == "json":
+    if opt.get("format", cast=str) == "json":
         print(payload)
     else:
         print(_row_text(row))
@@ -123,7 +126,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         opt.get("spacing", cast=str),
     )
     rows = run_sweep(opt.get("J"), opt.get("B"), grid)
-    fmt = args.format or "csv"
+    fmt = opt.get("format", cast=str) or "csv"
     try:
         with open(out, "w", newline="") as handle:
             if fmt == "json":
@@ -175,8 +178,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
     opt = _Options(args)
     J, B = opt.get("J"), opt.get("B")
     result = find_tmax(J, B, (opt.get("t_min"), opt.get("t_max")), opt.get("tol"))
-    tm = transition_matrix(IsingParams(J, B, result.temperature))
-    c_mu = statistical_complexity(tm)
+    c_mu = float(complexity(J, B, result.temperature).c_mu)
     payload = {
         "T_max": result.temperature,
         "C_q_bits": result.cq,
@@ -184,7 +186,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
         "boundary": result.boundary,
         "unimodal": result.unimodal,
     }
-    if args.format == "json":
+    if opt.get("format", cast=str) == "json":
         print(json.dumps(payload))
     else:
         kind = "boundary result (no interior maximum)" if result.boundary else "interior maximum"

@@ -29,6 +29,17 @@ def entropy_bits(weights) -> float:
     return float(-np.sum(nz * np.log2(nz))) + 0.0  # avoid -0.0 for pure cases
 
 
+def binary_entropy_bits(x):
+    """Entropy in bits of (x, 1 - x) for x <= 1/2, broadcasting over arrays.
+
+    log1p keeps full relative precision as x -> 0, where the rounded 1 - x
+    would swamp the result.  Tiny negative round-off in x is clipped to zero.
+    """
+    x = np.maximum(x, 0.0)
+    logs = np.log2(np.where(x > 0.0, x, 1.0))
+    return -(x * logs + (1.0 - x) * np.log1p(-x) / np.log(2.0)) + 0.0  # no -0.0
+
+
 def symbols_to_line(symbols) -> str:
     """Render a +1/-1 symbol sequence as one plain text line."""
     return " ".join("+1" if s > 0 else "-1" for s in symbols)

@@ -14,8 +14,8 @@ in state s(i) is in state s(j) is
 
 and the stationary weight of either spin state is p[i] = v[i]**2 / sum(v**2).
 
-All functions here are pure functions of value inputs and safe to call from
-any number of concurrent workers.
+:func:`transition_arrays` evaluates this for a scalar or an array of T.  All
+functions here are pure functions of value inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IsingParams", "TransitionMatrix", "transition_matrix"]
+__all__ = ["IsingParams", "TransitionMatrix", "transition_matrix", "transition_arrays"]
+
+
+def _validate(J: float, B: float, T: np.ndarray) -> None:
+    if not (math.isfinite(J) and math.isfinite(B)):
+        raise ValueError(f"J and B must be finite, got J={J}, B={B}")
+    if not (T > 0).all():
+        first = float(T[~(T > 0)][0])
+        if math.isnan(first):
+            raise ValueError("T must not be NaN")
+        raise ValueError(f"T must be strictly positive, got T={first}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +55,7 @@ class IsingParams:
         object.__setattr__(self, "J", float(self.J))
         object.__setattr__(self, "B", float(self.B))
         object.__setattr__(self, "T", float(self.T))
-        if not (math.isfinite(self.J) and math.isfinite(self.B)):
-            raise ValueError(f"J and B must be finite, got J={self.J}, B={self.B}")
-        if math.isnan(self.T):
-            raise ValueError("T must not be NaN")
-        if self.T <= 0:
-            raise ValueError(f"T must be strictly positive, got T={self.T}")
+        _validate(self.J, self.B, np.asarray(self.T))
 
     @property
     def beta(self) -> float:
@@ -77,44 +82,49 @@ class TransitionMatrix:
 
 
 def transition_matrix(params: IsingParams) -> TransitionMatrix:
-    """Conditional spin probabilities and stationary weights from (J, B, T).
+    """Conditional spin probabilities and stationary weights from (J, B, T)."""
+    t, p = transition_arrays(params.J, params.B, params.T)
+    return TransitionMatrix(t=t, p=p)
 
-    The 2x2 symmetric transfer matrix is diagonalized by the closed
-    quadratic formula (no iterative solver), with the Perron eigenvector
-    written in a cancellation-free form so the construction stays exact in
-    the deterministic and infinite-temperature limits.
+
+def transition_arrays(J: float, B: float, T) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` (shape ``T.shape + (2, 2)``) and ``p`` (``T.shape + (2,)``).
+
+    The 2x2 symmetric transfer matrix is diagonalized by the closed quadratic
+    formula, with the Perron eigenvector written in a cancellation-free form
+    so the construction stays exact in the deterministic and
+    infinite-temperature limits.
     """
-    beta = params.beta
-    e00 = beta * (params.J + params.B)
-    e11 = beta * (params.J - params.B)
-    e01 = -beta * params.J
-    shift = max(e00, e11, e01)  # scale cancels in t and p
-    a = math.exp(e00 - shift)
-    d = math.exp(e11 - shift)
-    c = math.exp(e01 - shift)
-    if c == 0.0:
+    J, B, T = float(J), float(B), np.asarray(T, dtype=float)
+    _validate(J, B, T)
+    beta = 1.0 / T  # exactly 0.0 for the T = inf flag
+    e00 = beta * (J + B)
+    e11 = beta * (J - B)
+    e01 = -beta * J
+    shift = np.maximum(np.maximum(e00, e11), e01)  # scale cancels in t and p
+    a = np.exp(e00 - shift)
+    d = np.exp(e11 - shift)
+    c = np.exp(e01 - shift)
+    if (c == 0.0).any():
         raise ValueError(
             "transfer matrix underflows double precision for these parameters "
-            f"(J={params.J}, B={params.B}, T={params.T})"
+            f"(J={J}, B={B}, T={float(T[c == 0.0][0])})"
         )
 
     half_gap = 0.5 * (a - d)
-    h = math.hypot(half_gap, c)
+    h = np.hypot(half_gap, c)
     lam = 0.5 * (a + d) + h
     # Perron eigenvector, largest component normalized to 1.  The small
     # component is lam - a (or lam - d) rewritten as c**2 / (h + |half_gap|)
     # to avoid catastrophic cancellation at low temperature.
-    if half_gap >= 0.0:
-        v = np.array([1.0, c / (h + half_gap)])
-    else:
-        v = np.array([c / (h - half_gap), 1.0])
+    small = c / (h + np.abs(half_gap))
+    up = half_gap >= 0.0
+    v0 = np.where(up, 1.0, small)
+    v1 = np.where(up, small, 1.0)
 
-    t = np.array(
-        [
-            [a * v[0] / (lam * v[0]), c * v[1] / (lam * v[0])],
-            [c * v[0] / (lam * v[1]), d * v[1] / (lam * v[1])],
-        ]
-    )
-    weights = v * v
-    p = weights / weights.sum()
-    return TransitionMatrix(t=t, p=p)
+    # t[i, j] = V[i, j] * v[j] / (lam * v[i]), moved behind the T axes.
+    lv0, lv1 = lam * v0, lam * v1
+    t = np.array([[a * v0 / lv0, c * v1 / lv0], [c * v0 / lv1, d * v1 / lv1]])
+    w0, w1 = v0 * v0, v1 * v1
+    p = np.array([w0 / (w0 + w1), w1 / (w0 + w1)])
+    return t.transpose(*range(2, t.ndim), 0, 1), p.transpose(*range(1, p.ndim), 0)

@@ -9,7 +9,8 @@ so their overlap <s0|s1> = sqrt(t00*t10) + sqrt(t01*t11) equals the fidelity
 between the two classical conditional futures -- the largest overlap any
 valid model can afford.  The stationary memory state is the p-weighted
 mixture of the two, and its entropy in bits is the quantum statistical
-complexity.
+complexity: a closed form of the weight and the overlap
+(:func:`mixture_eigenvalues`), so :func:`complexity` needs no eigensolver.
 
 Amplitudes are fixed real non-negative: the optimal models form a unitary
 family and entropy is gauge-invariant, so one canonical representative
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import classical_fidelity
-from .distribution import entropy_bits
-from .ising import IsingParams, TransitionMatrix, transition_matrix
+from .classical import classical_fidelity, merged_rows
+from .distribution import binary_entropy_bits
+from .ising import TransitionMatrix, transition_arrays
 
 __all__ = [
     "QuantumModel",
@@ -33,6 +34,8 @@ __all__ = [
     "stationary_density",
     "quantum_statistical_complexity",
     "mixture_eigenvalues",
+    "ChainStatistics",
+    "complexity",
     "SaturationReport",
     "fidelity_saturation_check",
     "TmaxResult",
@@ -74,18 +77,50 @@ def stationary_density(model: QuantumModel) -> np.ndarray:
 
 def quantum_statistical_complexity(model: QuantumModel) -> float:
     """Von Neumann entropy (bits) of the stationary memory state."""
-    eigenvalues = np.linalg.eigvalsh(stationary_density(model))
-    return entropy_bits(eigenvalues)
+    smaller, _ = mixture_eigenvalues(float(np.min(model.weights)), model.overlap())
+    return float(binary_entropy_bits(smaller))
 
 
-def mixture_eigenvalues(weight: float, overlap: float) -> tuple[float, float]:
+def mixture_eigenvalues(weight, overlap):
     """Closed-form eigenvalues of w|a><a| + (1-w)|b><b| with <a|b> = overlap.
 
-    Returns (smaller, larger) = (1 -+ sqrt(1 - 4*w*(1-w)*(1-overlap**2))) / 2.
+    Returns (smaller, larger) = (1 -+ root) / 2 with root**2 = 1 - 2*m and
+    m = 2*w*(1-w)*(1-overlap**2); the smaller is computed as m / (1 + root),
+    without cancellation.  Broadcasts over array inputs.
     """
-    disc = 1.0 - 4.0 * weight * (1.0 - weight) * (1.0 - overlap * overlap)
-    root = np.sqrt(max(disc, 0.0))
-    return 0.5 * (1.0 - root), 0.5 * (1.0 + root)
+    mixing = 2.0 * weight * (1.0 - weight) * (1.0 - overlap * overlap)
+    root = np.sqrt(np.maximum(1.0 - 2.0 * mixing, 0.0))
+    return mixing / (1.0 + root), 0.5 * (1.0 + root)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainStatistics:
+    """Chain statistics at one (J, B); ``overlap``, ``c_mu`` and ``c_q``
+    (bits) have T's shape, ``t`` and ``p`` add trailing (2, 2) and (2,)."""
+
+    t: np.ndarray
+    p: np.ndarray
+    overlap: np.ndarray
+    c_mu: np.ndarray
+    c_q: np.ndarray
+
+
+def complexity(J: float, B: float, T) -> ChainStatistics:
+    """t, p, memory overlap, C_mu and C_q for a scalar or an array of T.
+
+    Where the two rows of t merge, both complexities are exactly 0.
+    """
+    t, p = transition_arrays(J, B, T)
+    amp = np.sqrt(t)
+    overlap = (amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1)
+    # Both spectra are symmetric under w <-> 1-w; the smaller weight keeps
+    # its full relative precision, which 1 - p0 would lose.
+    weight = p.min(axis=-1)
+    smaller, _ = mixture_eigenvalues(weight, overlap)
+    merged = merged_rows(t)
+    c_mu = np.where(merged, 0.0, binary_entropy_bits(weight))
+    c_q = np.where(merged, 0.0, binary_entropy_bits(smaller))
+    return ChainStatistics(t=t, p=p, overlap=overlap, c_mu=c_mu, c_q=c_q)
 
 
 @dataclass(frozen=True)
@@ -132,12 +167,6 @@ def fidelity_saturation_check(
     )
 
 
-def _complexity_at(J: float, B: float, T: float) -> float:
-    return quantum_statistical_complexity(
-        build_quantum_model(transition_matrix(IsingParams(J, B, T)))
-    )
-
-
 @dataclass(frozen=True)
 class TmaxResult:
     """Location and value of the quantum-complexity maximum over T."""
@@ -152,6 +181,10 @@ class TmaxResult:
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _cq(J: float, B: float, T: float) -> float:
+    return float(complexity(J, B, T).c_q)
 
 
 def find_tmax(
@@ -175,7 +208,8 @@ def find_tmax(
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
-    values = np.array([_complexity_at(J, B, T) for T in grid])
+    grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
+    values = complexity(J, B, grid).c_q
     k = int(np.argmax(values))
 
     diffs = np.diff(values)
@@ -183,31 +217,31 @@ def find_tmax(
     falls_then_rise = np.any(np.diff(np.sign(moves)) > 0) if moves.size else False
     unimodal = not falls_then_rise
 
-    if k == 0 or k == grid_points - 1:
-        return TmaxResult(float(grid[k]), float(values[k]), boundary=True, unimodal=unimodal)
-    if not unimodal:
-        warnings.warn(
-            "quantum complexity profile is not unimodal on the coarse grid; "
-            "returning the grid argmax without refinement",
-            stacklevel=2,
-        )
-        return TmaxResult(float(grid[k]), float(values[k]), boundary=False, unimodal=False)
+    boundary = k in (0, grid_points - 1)
+    if boundary or not unimodal:
+        if not boundary:
+            warnings.warn(
+                "quantum complexity profile is not unimodal on the coarse grid; "
+                "returning the grid argmax without refinement",
+                stacklevel=2,
+            )
+        return TmaxResult(float(grid[k]), float(values[k]), boundary, unimodal)
 
     a, b = float(grid[k - 1]), float(grid[k + 1])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = _complexity_at(J, B, x1), _complexity_at(J, B, x2)
+    f1, f2 = _cq(J, B, x1), _cq(J, B, x2)
     while b - a > tol:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = _complexity_at(J, B, x2)
+            f2 = _cq(J, B, x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = _complexity_at(J, B, x1)
+            f1 = _cq(J, B, x1)
     t_best = 0.5 * (a + b)
-    cq_best = _complexity_at(J, B, t_best)
+    cq_best = _cq(J, B, t_best)
     if cq_best < values[k]:  # never report worse than the scan
         t_best, cq_best = float(grid[k]), float(values[k])
     return TmaxResult(t_best, cq_best, boundary=False, unimodal=True)

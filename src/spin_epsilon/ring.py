@@ -27,8 +27,6 @@ __all__ = [
     "conditional_from_ring",
     "extrapolated_conditional",
     "markov_gap",
-    "marginals_csv",
-    "markov_gaps_csv",
 ]
 
 MAX_N_HALF = 10  # ring <= 21 spins, <= 2,097,152 configurations
@@ -169,25 +167,3 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
 
     x0 = np.arange(joint.shape[0]) & 1
     return float(np.max(np.abs(cond_full - cond_pair[x0])))
-
-
-def marginals_csv(ens: RingEnsemble) -> str:
-    """CSV dump of the per-site up-spin marginals (``site,p_up``)."""
-    from .distribution import format_float
-
-    lines = ["site,p_up"]
-    lines += [
-        f"{k},{format_float(v)}" for k, v in enumerate(site_marginals(ens))
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def markov_gaps_csv(params: IsingParams, n_halves, length: int) -> str:
-    """CSV dump of the Markov-gap convergence sequence (``n_half,gap``)."""
-    from .distribution import format_float
-
-    lines = ["n_half,gap"]
-    for n_half in n_halves:
-        gap = markov_gap(enumerate_ring(params, n_half), length)
-        lines.append(f"{n_half},{format_float(gap)}")
-    return "\n".join(lines) + "\n"

@@ -1,23 +1,19 @@
 """Parameter sweeps over temperature with CSV/JSON serialization.
 
-Each row is a pure function of (J, B, T) alone, so sweeps are reproducible
-byte-for-byte.  Points are computed by a thread pool (capped by the
-SPIN_EPSILON_THREADS environment variable) and assembled in grid order
-regardless of completion order.
+A whole sweep is one closed-form array evaluation (:func:`quantum.complexity`)
+over the temperature grid, split into rows in grid order.  Each row is a pure
+function of (J, B, T) alone, so sweeps are reproducible byte-for-byte and a
+single point equals the same point inside any sweep.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import statistical_complexity
 from .distribution import format_float
-from .ising import IsingParams, transition_matrix
-from .quantum import build_quantum_model, quantum_statistical_complexity
+from .quantum import complexity
 
 __all__ = [
     "CSV_HEADER",
@@ -54,75 +50,20 @@ class SweepRow:
     c_q_bits: float
     ratio: float | None
 
+    # Fields are declared in CSV column order, and vars() keeps that order.
     def csv_line(self) -> str:
-        cells = [
-            format_float(x)
-            for x in (
-                self.T,
-                self.J,
-                self.B,
-                self.p0,
-                self.p1,
-                self.t00,
-                self.t01,
-                self.t10,
-                self.t11,
-                self.fidelity,
-                self.c_mu_bits,
-                self.c_q_bits,
-            )
-        ]
-        cells.append("" if self.ratio is None else format_float(self.ratio))
+        *values, ratio = vars(self).values()
+        cells = [format_float(x) for x in values]
+        cells.append("" if ratio is None else format_float(ratio))
         return ",".join(cells)
 
     def as_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "J": self.J,
-            "B": self.B,
-            "p0": self.p0,
-            "p1": self.p1,
-            "T00": self.t00,
-            "T01": self.t01,
-            "T10": self.t10,
-            "T11": self.t11,
-            "fidelity": self.fidelity,
-            "C_mu_bits": self.c_mu_bits,
-            "C_q_bits": self.c_q_bits,
-            "ratio": self.ratio,
-        }
+        return dict(zip(CSV_HEADER.split(","), vars(self).values()))
 
 
 def compute_row(J: float, B: float, T: float) -> SweepRow:
-    """Evaluate one sweep point from scratch (no hidden state).
-
-    Aborts with a diagnostic if the quantum complexity ever exceeds the
-    classical one beyond round-off: that would mean a construction bug.
-    """
-    tm = transition_matrix(IsingParams(J, B, T))
-    model = build_quantum_model(tm)
-    c_mu = statistical_complexity(tm)
-    c_q = quantum_statistical_complexity(model)
-    if c_q > c_mu + 1e-10:
-        raise RuntimeError(
-            f"invariant violated at (J={J}, B={B}, T={T}): "
-            f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
-        )
-    return SweepRow(
-        T=T,
-        J=J,
-        B=B,
-        p0=float(tm.p[0]),
-        p1=float(tm.p[1]),
-        t00=float(tm.t[0, 0]),
-        t01=float(tm.t[0, 1]),
-        t10=float(tm.t[1, 0]),
-        t11=float(tm.t[1, 1]),
-        fidelity=model.overlap(),
-        c_mu_bits=c_mu,
-        c_q_bits=c_q,
-        ratio=(c_mu / c_q) if c_q >= RATIO_FLOOR else None,
-    )
+    """Evaluate one sweep point from scratch (no hidden state)."""
+    return run_sweep(J, B, T)[0]
 
 
 def temperature_grid(
@@ -140,19 +81,33 @@ def temperature_grid(
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("SPIN_EPSILON_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_tasks))
-
-
 def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
-    """Compute every grid point; output order follows the grid."""
-    temperatures = [float(t) for t in grid]
-    if not temperatures:
-        return []
-    with ThreadPoolExecutor(max_workers=_worker_count(len(temperatures))) as pool:
-        return list(pool.map(lambda t: compute_row(J, B, t), temperatures))
+    """Compute every grid point (a scalar is one point); rows follow the grid.
+
+    Aborts with a diagnostic naming the first temperature where the quantum
+    complexity exceeds the classical one beyond round-off: that would mean a
+    construction bug.
+    """
+    temperatures = np.asarray(grid, dtype=float)
+    stats = complexity(J, B, temperatures)
+    columns = (
+        temperatures.reshape(-1).tolist(),
+        *stats.p.reshape(-1, 2).T.tolist(),
+        *stats.t.reshape(-1, 4).T.tolist(),
+        *(x.reshape(-1).tolist() for x in (stats.overlap, stats.c_mu, stats.c_q)),
+    )
+    rows = []
+    for T, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q in zip(*columns):
+        if c_q > c_mu + 1e-10:
+            raise RuntimeError(
+                f"invariant violated at (J={J}, B={B}, T={T}): "
+                f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
+            )
+        ratio = c_mu / c_q if c_q >= RATIO_FLOOR else None
+        rows.append(
+            SweepRow(T, J, B, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q, ratio)
+        )
+    return rows
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

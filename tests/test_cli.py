@@ -264,6 +264,21 @@ def test_config_file_precedence(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "complexity", "--J", "1", "--format", "json")
     assert code == 0
     assert json.loads(out.strip())["B"] == 0.0
+    # format comes from the config file too, for every command that prints it.
+    config.write_text("J = 1.0\nB = 0.3\nformat = json\n")
+    for command in ("complexity", "tmax"):
+        code, out, _ = run_cli(capsys, command, "--config", str(config))
+        assert code == 0
+        json.loads(out)  # a single JSON line, no text report
+    out_path = tmp_path / "sweep.out"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", str(config), "--points", "3", "--out", str(out_path)
+    )
+    assert code == 0
+    assert len(json.loads(out_path.read_text())) == 3
+    # A flag still beats the config file's format.
+    code, out, _ = run_cli(capsys, "complexity", "--config", str(config), "--format", "csv")
+    assert code == 0 and "C_mu" in out
 
 
 def test_config_rejects_malformed_lines(tmp_path, capsys):
@@ -272,6 +287,12 @@ def test_config_rejects_malformed_lines(tmp_path, capsys):
     code, _, err = run_cli(capsys, "complexity", "--config", str(config))
     assert code == 2
     assert "KEY=VALUE" in err
+    # Unknown keys (a flag spelled with a dash, a typo) are named, not dropped.
+    for key in ("t-max", "TT"):
+        config.write_text(f"J = 1.0\n{key} = 3\n")
+        code, _, err = run_cli(capsys, "tmax", "--config", str(config))
+        assert code == 2
+        assert repr(key) in err
 
 
 def test_module_entry_point_smoke():

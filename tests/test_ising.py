@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spin_epsilon import IsingParams, conditional_from_ring, transition_matrix
+from spin_epsilon.ising import transition_arrays
 from spin_epsilon.verify import draw_params
 
 # Analytic value of t00 at (J=1, B=0, T=1): 1 / (1 + exp(-2)).
@@ -115,11 +116,17 @@ def test_beta_inverts_temperature():
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ValueError):
         IsingParams(**kwargs)
+    # The array path applies the same rule, behind a valid point.
+    with pytest.raises(ValueError):
+        transition_arrays(kwargs["J"], kwargs["B"], [1.0, kwargs["T"]])
 
 
 def test_underflow_guard():
     with pytest.raises(ValueError):
         transition_matrix(IsingParams(3000.0, 0.0, 0.01))
+    # An array names its first underflowing temperature.
+    with pytest.raises(ValueError, match=r"underflows double precision .*T=0\.0015\)"):
+        transition_arrays(1.0, 0.3, [1.0, 0.0015, 0.001])
 
 
 def test_single_step_agrees_with_ring_enumeration(ring_cache):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from spin_epsilon import (
     IsingParams,
     QuantumModel,
     build_quantum_model,
+    entropy_bits,
     fidelity_saturation_check,
     find_tmax,
     mixture_eigenvalues,
@@ -109,6 +111,9 @@ def test_quantum_never_beats_classical_memory():
         assert c_q <= c_mu + 1e-10
         if 1e-6 < model.overlap() < 1.0 - 1e-6:
             assert c_q < c_mu
+        # The closed form against an independent eigensolve of the density.
+        eigenvalues = np.linalg.eigvalsh(stationary_density(model))
+        assert abs(c_q - entropy_bits(eigenvalues)) < 1e-12
 
 
 def test_saturation_check_trivial_cases():
@@ -191,6 +196,12 @@ def test_find_tmax_interior_golden():
     edge_low = quantum_statistical_complexity(model_for(1.0, 0.3, 0.05))
     edge_high = quantum_statistical_complexity(model_for(1.0, 0.3, 100.0))
     assert result.cq >= edge_low and result.cq >= edge_high
+    # A strong field leaves C_q near 1e-16 at the cold end of the scan;
+    # round-off there must not break the unimodal profile.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strong = find_tmax(1.0, 3.0, (0.05, 100.0), 1e-4)
+    assert strong.unimodal and not strong.boundary
 
 
 def test_find_tmax_zero_field_is_boundary():
@@ -198,7 +209,7 @@ def test_find_tmax_zero_field_is_boundary():
     # so the scan tops out at the cold end of the range.
     result = find_tmax(1.0, 0.0, (0.05, 100.0), 1e-4)
     assert result.boundary
-    assert result.temperature == pytest.approx(0.05, rel=1e-9)
+    assert result.temperature == 0.05  # exactly the range end, not logspace's
     assert result.cq == pytest.approx(1.0, abs=1e-9)
 
 

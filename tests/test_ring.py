@@ -12,7 +12,6 @@ from spin_epsilon import (
     site_marginals,
     transition_matrix,
 )
-from spin_epsilon.ring import marginals_csv, markov_gaps_csv
 
 MAGNETIZATION_GOLDEN = 0.3787617890000907  # (J=1, B=0.3, T=2), n_half=6
 MARKOV_GAP_GOLDEN = 5.154165866327887e-07  # (J=1, B=0.3, T=2), n_half=10, L=3
@@ -128,20 +127,3 @@ def test_window_guards():
         conditional_from_ring(ens, 0, 2)
     with pytest.raises(ValueError):
         markov_gap(ens, 4)
-
-
-def test_marginals_csv_format():
-    ens = enumerate_ring(IsingParams(0.5, 0.1, 1.0), 2)
-    lines = marginals_csv(ens).strip().splitlines()
-    assert lines[0] == "site,p_up"
-    assert len(lines) == 1 + ens.size
-    site, value = lines[1].split(",")
-    assert site == "0"
-    assert 0.0 < float(value) < 1.0
-
-
-def test_markov_gaps_csv_format():
-    lines = markov_gaps_csv(IsingParams(1.0, 0.3, 2.0), (3, 4, 5), 2).strip().splitlines()
-    assert lines[0] == "n_half,gap"
-    gaps = [float(line.split(",")[1]) for line in lines[1:]]
-    assert gaps[2] < gaps[1] < gaps[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -52,17 +53,28 @@ def test_row_csv_line_formatting():
 
 
 def test_ratio_blank_below_floor():
-    row = compute_row(0.0, 0.0, 1.0)
-    assert row.c_mu_bits == 0.0 and row.c_q_bits == 0.0
-    assert row.ratio is None
-    assert row.csv_line().endswith(",")
-    assert rows_to_json([row])[0]["ratio"] is None
+    # (0, 1, 1): uncoupled spins in a field, so the rows of t merge.
+    for J, B, T in ((0.0, 0.0, 1.0), (0.0, 1.0, 1.0)):
+        row = compute_row(J, B, T)
+        assert row.c_mu_bits == 0.0 and row.c_q_bits == 0.0
+        assert row.ratio is None
+        assert row.csv_line().endswith(",")
+        assert rows_to_json([row])[0]["ratio"] is None
 
 
 def test_row_invariant_abort(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "quantum_statistical_complexity", lambda model: 5.0)
+    closed_form = sweep_mod.complexity
+
+    def broken(J, B, T):
+        stats = closed_form(J, B, T)
+        c_q = np.where(np.asarray(T) >= 2.0, 5.0, stats.c_q)
+        return dataclasses.replace(stats, c_q=c_q)
+
+    monkeypatch.setattr(sweep_mod, "complexity", broken)
     with pytest.raises(RuntimeError, match="C_q"):
         compute_row(1.0, 0.3, 2.0)
+    with pytest.raises(RuntimeError, match=r"T=2\.0\)"):
+        run_sweep(1.0, 0.3, [1.0, 2.0, 3.0])
 
 
 def test_temperature_grid_spacings():
@@ -86,13 +98,14 @@ def test_temperature_grid_guards(args):
         temperature_grid(*args)
 
 
-def test_sweep_order_and_thread_cap(monkeypatch):
+def test_sweep_order_and_rerun_identical():
     grid = temperature_grid(0.05, 100.0, 40, "log")
-    serial = run_sweep(1.0, 0.3, grid)
-    monkeypatch.setenv("SPIN_EPSILON_THREADS", "2")
-    pooled = run_sweep(1.0, 0.3, grid)
-    assert rows_to_csv(serial) == rows_to_csv(pooled)
-    assert [r.T for r in pooled] == [float(t) for t in grid]
+    rows = run_sweep(1.0, 0.3, grid)
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(1.0, 0.3, grid))
+    assert [r.T for r in rows] == [float(t) for t in grid]
+    # A point inside a sweep is byte-identical to the same point alone.
+    for row in rows:
+        assert row.csv_line() == compute_row(1.0, 0.3, row.T).csv_line()
 
 
 def test_sweep_rows_respect_memory_ordering():
