@@ -8,8 +8,13 @@ Measuring each emitted qubit immediately keeps the live state two-dimensional,
 and is equivalent to building the full entangled chain and measuring at the
 end.
 
-The enumeration walks every measurement branch with exact amplitudes; the
-sampler walks a single seeded branch.  All state vectors are real: the
+The enumeration walks every measurement branch with exact amplitudes, one
+array layer per depth (weights, memory vectors and packed histories of all
+branches), which keeps the full depth ``MAX_DEPTH`` = 20 (about a million
+branches) practical.  The memory is always the collapsed ancilla
+amplitude, renormalized, never set to the expected state directly:
+synchronization with the encoding is what ``assert_synchronization`` checks.
+The sampler walks a single seeded branch.  All state vectors are real: the
 canonical amplitude gauge never produces a complex phase.  Branch enumeration
 is read-only over shared inputs; the sampler owns its RNG.
 """
@@ -28,7 +33,7 @@ from .quantum import QuantumModel
 __all__ = [
     "StepUnitaries",
     "build_step_unitaries",
-    "Branch",
+    "BranchLayer",
     "branch_layers",
     "exact_output_distribution",
     "SyncReport",
@@ -82,69 +87,61 @@ def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
 
 
 @dataclass(frozen=True, eq=False)
-class Branch:
-    """One measurement branch: amplitude weight, memory vector, emitted prefix.
+class BranchLayer:
+    """Every measurement branch at one depth, as parallel arrays.
 
-    ``weight**2`` is the probability of the emitted prefix, ``history`` packs
-    the prefix as an integer (first symbol in the most significant bit).
-    The memory register is one qubit by construction; the shape check keeps
-    that structural.
+    Row i is one branch: ``weight[i]**2`` is the probability of the emitted
+    prefix ``history[i]`` (first symbol in the most significant bit) and
+    ``memory[i]`` is its memory vector.  The memory register is one qubit by
+    construction; the shape check keeps that structural.
     """
 
-    weight: float
+    weight: np.ndarray
     memory: np.ndarray
-    history: int
+    history: np.ndarray
 
     def __post_init__(self):
-        if self.memory.shape != (2,):
+        if self.memory.shape != (len(self.weight), 2):
             raise ValueError("memory register must stay a single qubit")
 
+    def __len__(self) -> int:
+        return len(self.weight)
 
-def _advance(su: StepUnitaries, memory: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One circuit pass: exact joint amplitudes over (emitted qubit, ancilla).
 
-    Row k of the returned joint is the ancilla amplitude vector paired with
-    emitted-qubit outcome k; outcome probabilities are the squared row norms.
+def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[BranchLayer]:
+    """Yield the layer of all branches after each of ``length`` measured steps.
+
+    One circuit pass per depth acts on the whole layer: row k of a branch's
+    joint amplitudes over (emitted qubit, ancilla) is the ancilla vector
+    paired with emitted outcome k, and the outcome probabilities are the
+    squared row norms.  Zero-probability outcomes are dropped; the survivors
+    keep branch-major, outcome-minor order.  Squared branch weights sum to one
+    at every depth (checked).
     """
     ancilla = su.v @ _KET0
-    joint = np.empty((2, 2))
-    joint[0] = memory[0] * ancilla
-    joint[1] = memory[1] * (su.u @ ancilla)
-    probs = np.sum(joint * joint, axis=1)
-    return probs, joint
-
-
-def branch_layers(
-    su: StepUnitaries, start: int, length: int
-) -> Iterator[list[Branch]]:
-    """Yield the full branch list after each of ``length`` measured steps.
-
-    Squared branch weights sum to one at every depth (checked); zero-weight
-    outcomes are dropped.
-    """
-    layer = [Branch(1.0, su.causal_state(start), 0)]
+    turned = su.u @ ancilla
+    layer = BranchLayer(
+        np.ones(1), su.causal_state(start)[None, :], np.zeros(1, dtype=np.int64)
+    )
     for depth in range(length):
-        nxt = []
-        for br in layer:
-            probs, joint = _advance(su, br.memory)
-            for outcome in (0, 1):
-                if probs[outcome] == 0.0:
-                    continue
-                root = math.sqrt(probs[outcome])
-                nxt.append(
-                    Branch(
-                        weight=br.weight * root,
-                        memory=joint[outcome] / root,
-                        history=(br.history << 1) | outcome,
-                    )
-                )
-        total = math.fsum(br.weight**2 for br in nxt)
+        joint = np.empty((len(layer), 2, 2))
+        joint[:, 0] = layer.memory[:, :1] * ancilla
+        joint[:, 1] = layer.memory[:, 1:] * turned
+        probs = np.sum(joint * joint, axis=2).ravel()
+        kept = np.flatnonzero(probs)
+        parent, outcome = kept >> 1, kept & 1
+        root = np.sqrt(probs[kept])
+        layer = BranchLayer(
+            weight=layer.weight[parent] * root,
+            memory=joint.reshape(-1, 2)[kept] / root[:, None],
+            history=(layer.history[parent] << 1) | outcome,
+        )
+        total = math.fsum(layer.weight * layer.weight)
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(
                 f"branch weights lost normalization at depth {depth + 1}: "
                 f"sum of squares = {total!r}"
             )
-        layer = nxt
         yield layer
 
 
@@ -154,12 +151,10 @@ def exact_output_distribution(
     """Exact Born-rule distribution over the 2**length measurement records."""
     if not 1 <= length <= MAX_DEPTH:
         raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
-    probs = np.zeros(2**length)
-    layer: list[Branch] = []
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
-    for br in layer:
-        probs[br.history] = br.weight**2
+    probs = np.zeros(2**length)
+    probs[layer.history] = layer.weight**2
     return FutureDistribution(length, probs)
 
 
@@ -195,15 +190,14 @@ def assert_synchronization(
     first = None
     for start in (0, 1):
         for depth, layer in enumerate(branch_layers(su, start, length), start=1):
-            for br in layer:
-                emitted = br.history & 1
-                deviation = abs(abs(float(br.memory @ model.amp[emitted])) - 1.0)
-                if deviation > worst:
-                    worst = deviation
-                if deviation > tol and first is None:
-                    prefix = format(br.history, f"0{depth}b")
-                    prefix = prefix.replace("0", "+").replace("1", "-")
-                    first = (depth, prefix)
+            expected = model.amp[layer.history & 1]
+            deviation = np.abs(np.abs(np.sum(layer.memory * expected, axis=1)) - 1.0)
+            worst = max(worst, float(deviation.max()))
+            failing = np.flatnonzero(deviation > tol)
+            if failing.size and first is None:
+                prefix = format(int(layer.history[failing[0]]), f"0{depth}b")
+                prefix = prefix.replace("0", "+").replace("1", "-")
+                first = (depth, prefix)
     return SyncReport(passed=first is None, max_deviation=worst, first_failure=first)
 
 

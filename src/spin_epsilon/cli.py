@@ -6,7 +6,9 @@ invariant), 2 usage error.
 
 Option values resolve as flags > config file > built-in defaults.  The config
 file is flat ``KEY=VALUE`` lines (keys named like the long flags, underscores
-for dashes, ``#`` comments allowed); an unknown key is a usage error.
+for dashes, ``#`` comments allowed).  An unknown key, a value that does not
+parse, or a value outside the matching flag's choices is a usage error that
+names the key.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ _DEFAULTS = {
     "out": None,
 }
 
+# Allowed values of the options that argparse restricts to a fixed set; a
+# config file is held to the same choices.
+_CHOICES = {
+    "format": ("csv", "json"),
+    "spacing": ("linear", "log"),
+    "backend": ("classical", "quantum"),
+    "level": ("quick", "full"),
+}
+
 
 def load_config(path: str) -> dict[str, str]:
     """Parse a flat KEY=VALUE config file."""
@@ -75,9 +86,17 @@ class _Options:
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
-        if name in self.config:
-            return cast(self.config[name])
-        return _DEFAULTS[name]
+        if name not in self.config:
+            return _DEFAULTS[name]
+        raw = self.config[name]
+        where = f"{self.args.config}: config key {name!r}"
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ValueError(f"{where}: invalid value {raw!r}") from None
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ValueError(f"{where} must be one of {_CHOICES[name]}, got {raw!r}")
+        return value
 
 
 def _parse_start(token: str) -> int:
@@ -154,8 +173,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     opt = _Options(args)
     backend = opt.get("backend", cast=str)
-    if backend not in ("classical", "quantum"):
-        raise ValueError(f"backend must be 'classical' or 'quantum', got {backend!r}")
     params = IsingParams(opt.get("J"), opt.get("B"), opt.get("T"))
     tm = transition_matrix(params)
     start = _parse_start(opt.get("start", cast=str))
@@ -216,7 +233,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--B", type=float, default=None, help="external field")
     parser.add_argument("--config", default=None, help="flat KEY=VALUE config file")
     parser.add_argument(
-        "--format", choices=("csv", "json"), default=None, help="output format"
+        "--format", choices=_CHOICES["format"], default=None, help="output format"
     )
 
 
@@ -240,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", dest="t_min", type=float, default=None)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--spacing", choices=("linear", "log"), default=None)
+    p.add_argument("--spacing", choices=_CHOICES["spacing"], default=None)
     p.add_argument("--out", default=None, help="output file path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="stream a sampled symbol trajectory")
     _add_common(p)
-    p.add_argument("--backend", choices=("classical", "quantum"), default=None)
+    p.add_argument("--backend", choices=_CHOICES["backend"], default=None)
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -262,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     _add_common(p)
-    p.add_argument("--level", choices=("quick", "full"), default=None)
+    p.add_argument("--level", choices=_CHOICES["level"], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -46,10 +46,6 @@ class RingEnsemble:
         return 2 * self.n_half + 1
 
 
-def _bit(configs: np.ndarray, site: int) -> np.ndarray:
-    return (configs >> site) & 1
-
-
 def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     """Boltzmann-weighted table over all configurations of a (2*n_half+1)-ring.
 
@@ -72,16 +68,15 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
 
 def site_marginals(ens: RingEnsemble) -> np.ndarray:
     """P(spin = +1) at every site (identical across sites by symmetry)."""
-    configs = np.arange(len(ens.probs), dtype=np.uint64)
+    # Axes (higher sites, site k, lower sites): spin +1 is index 0 of the middle.
     return np.array(
-        [float(ens.probs @ (1 - _bit(configs, k))) for k in range(ens.size)]
+        [float(ens.probs.reshape(-1, 2, 2**k)[:, 0].sum()) for k in range(ens.size)]
     )
 
 
 def magnetization(ens: RingEnsemble) -> float:
     """Mean spin value at site 0."""
-    configs = np.arange(len(ens.probs), dtype=np.uint64)
-    up = float(ens.probs @ (1 - _bit(configs, 0)))
+    up = float(ens.probs[::2].sum())
     return 2.0 * up - 1.0
 
 
@@ -97,11 +92,10 @@ def conditional_from_ring(
         raise ValueError(f"condition must be +1 or -1, got {condition}")
     if not 1 <= length <= ens.n_half:
         raise ValueError(f"length must be in [1, n_half={ens.n_half}], got {length}")
-    configs = np.arange(len(ens.probs), dtype=np.uint64)
-    key = _bit(configs, 0).astype(np.int64) << length
-    for k in range(1, length + 1):
-        key |= _bit(configs, k).astype(np.int64) << (length - k)
-    joint = np.bincount(key, weights=ens.probs, minlength=2 ** (length + 1))
+    # Sites 0..L are the low index bits: summing the high ones leaves the window,
+    # and reversing its bit axes puts site 0 first (most significant).
+    window = ens.probs.reshape(-1, 2 ** (length + 1)).sum(axis=0)
+    joint = window.reshape((2,) * (length + 1)).transpose().ravel()
     cond_index = 0 if condition == 1 else 1
     block = joint[cond_index * 2**length : (cond_index + 1) * 2**length]
     return FutureDistribution(length, block / block.sum())
@@ -149,20 +143,14 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
         raise ValueError(
             f"length must be in [1, n_half-1={ens.n_half - 1}], got {length}"
         )
-    m = ens.size
-    configs = np.arange(len(ens.probs), dtype=np.uint64)
-    # Pack (x_{-L} .. x_{-1}, x_0, x_1): history high bits, x_0, then x_1 low.
-    key = np.zeros(len(ens.probs), dtype=np.int64)
-    for offset, site in enumerate(range(m - length, m)):
-        key |= _bit(configs, site).astype(np.int64) << (length + 1 - offset)
-    key |= _bit(configs, 0).astype(np.int64) << 1
-    key |= _bit(configs, 1).astype(np.int64)
-    joint = np.bincount(key, weights=ens.probs, minlength=2 ** (length + 2))
-    joint = joint.reshape(-1, 2)  # rows = (history, x_0), cols = x_1
+    # Index bits, high to low: history sites m-L..m-1, the summed-out middle,
+    # then x_1 and x_0.  History rows come out in reversed bit order, which
+    # the maximum over histories does not see.
+    blocks = ens.probs.reshape(2**length, -1, 2, 2).sum(axis=1)
+    joint = blocks.transpose(0, 2, 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1
     cond_full = joint / joint.sum(axis=1, keepdims=True)
 
-    key2 = (_bit(configs, 0).astype(np.int64) << 1) | _bit(configs, 1).astype(np.int64)
-    pair = np.bincount(key2, weights=ens.probs, minlength=4).reshape(2, 2)
+    pair = ens.probs.reshape(-1, 2, 2).sum(axis=0).T  # rows = x_0, cols = x_1
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
 
     x0 = np.arange(joint.shape[0]) & 1

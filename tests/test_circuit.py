@@ -15,12 +15,37 @@ from spin_epsilon import (
     sample_quantum_trajectory,
     transition_matrix,
 )
-from spin_epsilon.circuit import Branch
+from spin_epsilon.circuit import MAX_DEPTH, BranchLayer
 from spin_epsilon.verify import draw_params
 
 
 def unitaries_for(J, B, T):
     return build_step_unitaries(build_quantum_model(transition_matrix(IsingParams(J, B, T))))
+
+
+def reference_layers(su, start, length):
+    """Per-branch walk, one (weight, memory, history) tuple per branch."""
+    ancilla = su.v @ np.array([1.0, 0.0])
+    layer = [(1.0, su.causal_state(start), 0)]
+    for _ in range(length):
+        nxt = []
+        for weight, memory, history in layer:
+            joint = np.empty((2, 2))
+            joint[0] = memory[0] * ancilla
+            joint[1] = memory[1] * (su.u @ ancilla)
+            probs = np.sum(joint * joint, axis=1)
+            for outcome in (0, 1):
+                if probs[outcome] != 0.0:
+                    root = math.sqrt(probs[outcome])
+                    nxt.append((weight * root, joint[outcome] / root, (history << 1) | outcome))
+        layer = nxt
+        yield layer
+
+
+def identity_encoding_unitaries():
+    """|s0> = |0>, |s1> = |1>: from |0> the emitted symbol is always +1."""
+    model = QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5]))
+    return build_step_unitaries(model)
 
 
 def test_v_is_identity_when_first_state_is_ket0():
@@ -103,13 +128,52 @@ def test_distribution_length_guards():
 def test_branch_weights_normalized_at_every_depth():
     su = unitaries_for(1.0, 0.3, 2.0)
     for depth, layer in enumerate(branch_layers(su, 0, 8), start=1):
-        total = sum(br.weight**2 for br in layer)
+        total = math.fsum(layer.weight**2)
         assert abs(total - 1.0) < 1e-12, f"depth {depth}"
 
 
 def test_branch_memory_must_stay_one_qubit():
+    one = np.ones(1)
+    history = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        Branch(weight=1.0, memory=np.zeros(4), history=0)
+        BranchLayer(weight=one, memory=np.zeros((1, 4)), history=history)
+    with pytest.raises(ValueError):
+        BranchLayer(weight=one, memory=np.zeros(2), history=history)
+
+
+def test_branch_layers_bit_identical_to_reference_walk():
+    rng = np.random.default_rng(61)
+    cases = [(draw_params(rng), int(rng.integers(2)), int(rng.integers(1, 9))) for _ in range(30)]
+    cases += [(IsingParams(1.0, 0.0, math.inf), 0, 8), (IsingParams(1.0, 0.3, 2.0), 1, 8)]
+    runs = [
+        (build_step_unitaries(build_quantum_model(transition_matrix(params))), start, length)
+        for params, start, length in cases
+    ]
+    runs.append((identity_encoding_unitaries(), 0, 6))  # drops zero outcomes
+    for su, start, length in runs:
+        walks = zip(branch_layers(su, start, length), reference_layers(su, start, length))
+        for layer, ref in walks:
+            assert layer.weight.tobytes() == np.array([b[0] for b in ref]).tobytes()
+            assert layer.memory.tobytes() == np.array([b[1] for b in ref]).tobytes()
+            assert layer.history.tolist() == [b[2] for b in ref]
+
+
+def test_layer_length_counts_branches_and_drops_zero_outcomes():
+    su = unitaries_for(1.0, 0.3, 2.0)
+    for depth, layer in enumerate(branch_layers(su, 1, 6), start=1):
+        assert len(layer) == layer.history.size == 2**depth
+    for layer in branch_layers(identity_encoding_unitaries(), 0, 6):
+        assert len(layer) == 1
+        assert layer.history.tolist() == [0]
+        assert layer.weight.tolist() == [1.0]
+
+
+def test_exact_distribution_at_max_depth():
+    tm = transition_matrix(IsingParams(1.0, 0.3, 2.0))
+    su = build_step_unitaries(build_quantum_model(tm))
+    circuit = exact_output_distribution(su, 1, MAX_DEPTH)
+    classical = future_distribution(tm, 1, MAX_DEPTH)
+    np.testing.assert_allclose(circuit.probs, classical.probs, atol=1e-12, rtol=0)
 
 
 def test_synchronization_trivial_cases():
@@ -141,7 +205,7 @@ def test_synchronization_detects_wrong_encoding():
     )
     report = assert_synchronization(su, other, 3)
     assert not report.passed
-    assert report.first_failure is not None
+    assert report.first_failure == (1, "+")
 
 
 def test_sample_zero_steps():

@@ -295,6 +295,27 @@ def test_config_rejects_malformed_lines(tmp_path, capsys):
         assert repr(key) in err
 
 
+def test_config_value_that_fails_its_cast_names_the_key(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("points = abc\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "'points'" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("complexity", "format"), ("sweep", "spacing"), ("simulate", "backend"), ("verify", "level")],
+)
+def test_config_choice_outside_flag_choices_exits_two(tmp_path, capsys, command, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = xml\n")
+    extra = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+    code, _, err = run_cli(capsys, command, "--config", str(config), *extra)
+    assert code == 2
+    assert repr(key) in err and "'xml'" in err
+
+
 def test_module_entry_point_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "spin_epsilon.cli", "complexity", "--J", "1",
