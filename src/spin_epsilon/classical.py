@@ -12,6 +12,8 @@ The table/entropy/fidelity operations are stateless and thread-safe; an
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .distribution import FutureDistribution, binary_entropy_bits
@@ -49,13 +51,12 @@ def statistical_complexity(tm: TransitionMatrix) -> float:
     return 0.0 if merged_rows(tm.t) else float(binary_entropy_bits(tm.p.min()))
 
 
-def future_distribution(
-    tm: TransitionMatrix, start: int, length: int
-) -> FutureDistribution:
-    """Exact P(x_1 .. x_L | causal state ``start``) as a product of t entries.
+def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.ndarray]:
+    """Yield the exact P(x_1 .. x_L | causal state ``start``) for L = 1 .. ``length``.
 
-    No sampling: the table is built by unifilar expansion, doubling once per
-    step, with the first emitted symbol in the most significant index bit.
+    No sampling: each table is the previous one doubled by unifilar
+    expansion, a product of t entries, with the first emitted symbol in the
+    most significant index bit.  Arguments are checked when iteration starts.
     """
     if start not in (0, 1):
         raise ValueError(f"start must be 0 or 1, got {start}")
@@ -68,6 +69,15 @@ def future_distribution(
     for _ in range(length):
         probs = (probs[:, None] * tm.t[states]).reshape(-1)
         states = np.tile(np.array([0, 1]), states.size)
+        yield probs
+
+
+def future_distribution(
+    tm: TransitionMatrix, start: int, length: int
+) -> FutureDistribution:
+    """The exact length-``length`` table of :func:`future_tables`."""
+    for probs in future_tables(tm, start, length):
+        pass
     return FutureDistribution(length, probs)
 
 
@@ -91,26 +101,15 @@ class EpsilonMachine:
     use one instance per worker.  Entropies are reported in bits throughout.
     """
 
-    log_base = "bits"
-
     def __init__(self, tm: TransitionMatrix, state: int = 0, seed: int | None = None):
-        if state not in (0, 1):
-            raise ValueError(f"state must be 0 or 1, got {state}")
         self.tm = tm
-        self.state = state
-        self.rng = np.random.default_rng(seed)
+        self.reset(state, seed)
 
     def reset(self, state: int, seed: int | None = None) -> None:
         if state not in (0, 1):
             raise ValueError(f"state must be 0 or 1, got {state}")
         self.state = state
         self.rng = np.random.default_rng(seed)
-
-    def step(self) -> int:
-        """Emit one +1/-1 symbol and move to the matching causal state."""
-        j = 0 if self.rng.random() < self.tm.t[self.state, 0] else 1
-        self.state = j
-        return 1 - 2 * j
 
     def run(self, steps: int) -> np.ndarray:
         """Emit ``steps`` symbols; returns an int8 array of +1/-1 values."""

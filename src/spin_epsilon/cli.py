@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``complexity``, ``sweep``, ``simulate``, ``tmax``, ``verify``.
-Exit codes: 0 success, 1 verification failure (or a violated internal
-invariant), 2 usage error.
+Exit codes: 0 success (also when the reader closes stdout early), 1
+verification failure (or a violated internal invariant), 2 usage error.
 
 Option values resolve as flags > config file > built-in defaults.  The config
 file is flat ``KEY=VALUE`` lines (keys named like the long flags, underscores
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classical import EpsilonMachine, sample_trajectory
@@ -290,7 +291,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Reader gone (``| head``): devnull keeps the exit-time flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import classical_fidelity, merged_rows
+from .classical import future_tables, merged_rows
 from .distribution import binary_entropy_bits
 from .ising import TransitionMatrix, transition_arrays
 
@@ -156,7 +156,9 @@ def fidelity_saturation_check(
     A FAIL signals a construction bug, not a physics surprise.
     """
     overlap = model.overlap()
-    fidelities = tuple(classical_fidelity(tm, n) for n in range(1, max_length + 1))
+    # classical_fidelity(tm, L) for every L, from one expansion per start.
+    tables = zip(future_tables(tm, 0, max_length), future_tables(tm, 1, max_length))
+    fidelities = tuple(float(np.sum(np.sqrt(d0 * d1))) for d0, d1 in tables)
     max_gap = max(abs(overlap - f) for f in fidelities)
     bound_ok = all(overlap <= f + tol for f in fidelities)
     return SaturationReport(

@@ -300,3 +300,10 @@ def test_full_verification_tier():
         print(result, flush=True)
     assert all(r.passed for r in results), "; ".join(str(r) for r in results)
     assert elapsed < 900.0
+    # Pinned in report order: short-corr table errors, long-corr table
+    # errors, then the short-corr Markov gaps.
+    assert results[0].detail == (
+        "short-corr table errors ['0.00317', '0.000114', '4.12e-06', '1.49e-07']; "
+        "long-corr table errors ['0.0685', '0.0243', '0.00834', '0.00283']; "
+        "short-corr markov gaps ['0.0108', '0.000397', '1.43e-05', '5.15e-07']"
+    )

@@ -326,3 +326,18 @@ def test_module_entry_point_smoke():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["C_mu_bits"] == 1.0
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # A reader that takes a few bytes and closes the pipe (``| head -c 20``)
+    # must end the command with exit 0 and nothing on stderr.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spin_epsilon.cli", "simulate", "--steps", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

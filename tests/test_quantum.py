@@ -8,6 +8,7 @@ from spin_epsilon import (
     IsingParams,
     QuantumModel,
     build_quantum_model,
+    classical_fidelity,
     entropy_bits,
     fidelity_saturation_check,
     find_tmax,
@@ -133,6 +134,28 @@ def test_saturation_check_random_draws():
         tm = transition_matrix(draw_params(rng))
         report = fidelity_saturation_check(tm, build_quantum_model(tm))
         assert report.passed, str(report)
+
+
+def test_saturation_fidelities_come_from_one_expansion_per_start(monkeypatch):
+    # Every L = 1..12 fidelity is read off one unifilar expansion per start,
+    # and each equals classical_fidelity(tm, L) exactly.
+    import spin_epsilon.quantum as quantum
+    from spin_epsilon.classical import future_tables
+
+    expansions = []
+
+    def counted(tm, start, length):
+        expansions.append(start)
+        return future_tables(tm, start, length)
+
+    monkeypatch.setattr(quantum, "future_tables", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        tm = transition_matrix(draw_params(rng))
+        expansions.clear()
+        report = fidelity_saturation_check(tm, build_quantum_model(tm), 12)
+        assert sorted(expansions) == [0, 1]
+        assert report.fidelities == tuple(classical_fidelity(tm, n) for n in range(1, 13))
 
 
 def test_saturation_check_catches_sign_flip():
