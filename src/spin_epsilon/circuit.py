@@ -14,7 +14,8 @@ branches), which keeps the full depth ``MAX_DEPTH`` = 20 (about a million
 branches) practical.  The memory is always the collapsed ancilla
 amplitude, renormalized, never set to the expected state directly:
 synchronization with the encoding is what ``assert_synchronization`` checks.
-The sampler walks a single seeded branch.  All state vectors are real: the
+The sampler walks a single seeded branch in one scan shared with the
+classical sampler.  All state vectors are real: the
 canonical amplitude gauge never produces a complex phase.  Branch enumeration
 is read-only over shared inputs; the sampler owns its RNG.
 """
@@ -27,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .classical import scan_states
 from .distribution import FutureDistribution
 from .quantum import QuantumModel
 
@@ -202,24 +204,23 @@ def assert_synchronization(
 
 
 def sample_quantum_trajectory(
-    su: StepUnitaries, start: int, steps: int, seed: int
+    su: StepUnitaries, start: int, steps: int, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk one seeded branch; returns (+1/-1 symbols, final memory vector).
 
-    Each measurement outcome is drawn from its exact branch probability
-    (the squared computational-basis weights of the current memory), and the
-    ancilla collapses to the emitted symbol's memory state.
+    Each measurement outcome is drawn from its exact branch probability (the
+    squared first amplitude ``m0 * m0`` of the current memory vector, one
+    ``scan_states`` threshold per ``su.causal_state``), and the ancilla
+    collapses to the emitted symbol's memory state.  A Generator as ``seed``
+    is used as is, continuing its stream.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if start not in (0, 1):
+        raise ValueError(f"start must be 0 or 1, got {start}")
     states = (su.causal_state(0), su.causal_state(1))
-    m0 = float(states[start][0])
+    m00, m10 = float(states[0][0]), float(states[1][0])
     draws = np.random.default_rng(seed).random(steps)
-    out = np.empty(steps, dtype=np.int8)
-    memory = states[start]
-    for k in range(steps):
-        outcome = 0 if draws[k] < m0 * m0 else 1
-        memory = states[outcome]
-        m0 = float(memory[0])
-        out[k] = outcome
-    return 1 - 2 * out, memory
+    outcomes = scan_states(m00 * m00, m10 * m10, start, draws)
+    memory = states[int(outcomes[-1]) if steps else start]
+    return 1 - 2 * outcomes, memory

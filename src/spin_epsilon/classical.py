@@ -6,6 +6,9 @@ dynamics are unifilar by construction (emitting symbol j forces a transition
 into state j), so exact conditional future tables are plain products of
 transition-matrix entries.
 
+Both samplers, this machine's and the quantum circuit's, draw a whole run of
+states with one prefix scan, :func:`scan_states`, each from its own thresholds.
+
 The table/entropy/fidelity operations are stateless and thread-safe; an
 :class:`EpsilonMachine` instance owns its RNG and is single-owner.
 """
@@ -94,6 +97,33 @@ def classical_fidelity(tm: TransitionMatrix, length: int) -> float:
     return float(np.sum(np.sqrt(d0.probs * d1.probs)))
 
 
+def scan_states(q0: float, q1: float, start: int, draws: np.ndarray) -> np.ndarray:
+    """The int8 states after each draw of the chain that moves from ``start``
+    to state ``draws[k] >= q[state]``, without a per-step loop.
+
+    A draw below ``min(q)`` or at least ``max(q)`` resets the state; one in
+    between copies it when ``q1 < q0`` and flips it when ``q0 < q1``.  The
+    state XOR the flip parity so far is then a forward fill of its value at
+    the last reset: a prefix scan over composed maps (Blelloch 1990).
+    """
+    lo, hi = min(q0, q1), max(q0, q1)
+    high = draws >= hi
+    reset = high | (draws < lo)
+    n = draws.size
+    # 1 + index of the last reset at or before each step; 0 before the first.
+    last = np.arange(1, n + 1, dtype=np.int32 if n < 2**31 else np.intp)
+    last *= reset
+    np.maximum.accumulate(last, out=last)
+    fill = np.empty(n + 1, dtype=np.int8)
+    fill[0] = start
+    if q0 < q1:
+        parity = np.bitwise_xor.accumulate(~reset).view(np.int8)
+        np.bitwise_xor(high, parity, out=fill[1:])
+        return fill[last] ^ parity
+    fill[1:] = high
+    return fill[last]
+
+
 class EpsilonMachine:
     """Stateful simulator for the two-state unifilar machine.
 
@@ -115,21 +145,18 @@ class EpsilonMachine:
         """Emit ``steps`` symbols; returns an int8 array of +1/-1 values."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        draws = self.rng.random(steps)
-        out = np.empty(steps, dtype=np.int8)
-        t0 = (float(self.tm.t[0, 0]), float(self.tm.t[1, 0]))
-        state = self.state
-        for k in range(steps):
-            state = 0 if draws[k] < t0[state] else 1
-            out[k] = state
-        self.state = state
-        return 1 - 2 * out
+        t = self.tm.t
+        states = scan_states(t[0, 0], t[1, 0], self.state, self.rng.random(steps))
+        if steps:
+            self.state = int(states[-1])
+        return 1 - 2 * states
 
 
 def sample_trajectory(
-    machine: EpsilonMachine, start: int, steps: int, seed: int
+    machine: EpsilonMachine, start: int, steps: int, seed: int | np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Seeded trajectory of +1/-1 symbols; returns (symbols, final state)."""
+    """Seeded trajectory of +1/-1 symbols; returns (symbols, final state).
+    A Generator as ``seed`` is used as is, continuing its stream."""
     machine.reset(start, seed)
     symbols = machine.run(steps)
     return symbols, machine.state

@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .classical import EpsilonMachine, sample_trajectory
 from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
@@ -29,6 +31,8 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+
+SIMULATE_CHUNK = 2**16  # simulate writes each chunk as drawn: memory flat in --steps
 
 _DEFAULTS = {
     "J": 1.0,
@@ -171,6 +175,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed(opt: _Options) -> int:
+    seed = opt.get("seed", cast=int)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     opt = _Options(args)
     backend = opt.get("backend", cast=str)
@@ -178,17 +189,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tm = transition_matrix(params)
     start = _parse_start(opt.get("start", cast=str))
     steps = opt.get("steps", cast=int)
-    seed = opt.get("seed", cast=int)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    rng = np.random.default_rng(_seed(opt))
     if steps == 0:
         return EXIT_OK
+    # Chunks share one Generator and carry the state: one call's stream.
     if backend == "classical":
-        symbols, _ = sample_trajectory(EpsilonMachine(tm), start, steps, seed)
+        machine = EpsilonMachine(tm)
+        sample = lambda state, n: sample_trajectory(machine, state, n, rng)[0]
     else:
         su = build_step_unitaries(build_quantum_model(tm))
-        symbols, _ = sample_quantum_trajectory(su, start, steps, seed)
-    print(symbols_to_line(symbols))
+        sample = lambda state, n: sample_quantum_trajectory(su, state, n, rng)[0]
+    state, separator = start, ""
+    for done in range(0, steps, SIMULATE_CHUNK):
+        symbols = sample(state, min(SIMULATE_CHUNK, steps - done))
+        sys.stdout.write(separator + symbols_to_line(symbols))
+        state, separator = int(symbols[-1] < 0), " "
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -219,7 +237,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     opt = _Options(args)
     level = opt.get("level", cast=str)
-    results = run_verification(level, opt.get("seed", cast=int))
+    results = run_verification(level, _seed(opt))
     for result in results:
         print(result)
     if all(r.passed for r in results):

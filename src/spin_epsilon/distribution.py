@@ -40,9 +40,13 @@ def binary_entropy_bits(x):
     return -(x * logs + (1.0 - x) * np.log1p(-x) / np.log(2.0)) + 0.0  # no -0.0
 
 
+_TOKENS = np.frombuffer(b"-1 +1 ", dtype=np.uint8).reshape(2, 3)  # row [s > 0]
+
+
 def symbols_to_line(symbols) -> str:
-    """Render a +1/-1 symbol sequence as one plain text line."""
-    return " ".join("+1" if s > 0 else "-1" for s in symbols)
+    """Render a +1/-1 symbol sequence (``+1`` for s > 0) as one text line."""
+    positive = np.asarray(symbols) > 0
+    return _TOKENS.take(positive.view(np.uint8), axis=0).tobytes()[:-1].decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ functions here are pure functions of value inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,19 @@ __all__ = ["IsingParams", "TransitionMatrix", "transition_matrix", "transition_a
 def _validate(J: float, B: float, T: np.ndarray) -> None:
     if not (math.isfinite(J) and math.isfinite(B)):
         raise ValueError(f"J and B must be finite, got J={J}, B={B}")
-    if not (T > 0).all():
-        first = float(T[~(T > 0)][0])
+    # Above this T, 1/T and every Boltzmann exponent stay below a quarter of
+    # the largest double, so no overflow (or inf - inf) reaches the exponents.
+    t_floor = max(abs(J) + abs(B), 1.0) / (sys.float_info.max / 4)
+    if not (T > t_floor).all():
+        first = float(T[~(T > t_floor)][0])
         if math.isnan(first):
             raise ValueError("T must not be NaN")
-        raise ValueError(f"T must be strictly positive, got T={first}")
+        if first <= 0:
+            raise ValueError(f"T must be strictly positive, got T={first}")
+        raise ValueError(
+            "Boltzmann exponent overflows double precision for these parameters "
+            f"(J={J}, B={B}, T={first})"
+        )
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,8 @@ class IsingParams:
 
     ``T`` must be strictly positive.  ``T = math.inf`` is accepted as an
     explicit infinite-temperature limit flag (``beta == 0``, all couplings
-    washed out); T <= 0 is rejected.
+    washed out); T <= 0 is rejected, and so is a T at which J/T, B/T or 1/T
+    would overflow a double.
     """
 
     J: float

@@ -240,3 +240,5 @@ def test_sample_rejects_negative_steps():
     su = unitaries_for(1.0, 0.3, 2.0)
     with pytest.raises(ValueError):
         sample_quantum_trajectory(su, 0, -1, seed=0)
+    with pytest.raises(ValueError, match="start must be 0 or 1"):
+        sample_quantum_trajectory(su, 2, 5, seed=0)

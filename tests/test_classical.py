@@ -10,6 +10,9 @@ from spin_epsilon import (
     classical_fidelity,
     extrapolated_conditional,
     future_distribution,
+    build_quantum_model,
+    build_step_unitaries,
+    sample_quantum_trajectory,
     sample_trajectory,
     statistical_complexity,
     symbols_to_line,
@@ -176,6 +179,59 @@ def test_trajectory_reproducible_for_seed():
 def test_trajectory_line_export():
     assert symbols_to_line(np.array([1, -1, 1])) == "+1 -1 +1"
     assert symbols_to_line(np.array([], dtype=np.int8)) == ""
+    assert symbols_to_line([]) == ""
+    assert symbols_to_line([-1]) == "-1"
+    # Anything not above zero renders as -1, as the per-symbol join did.
+    values = np.random.default_rng(3).integers(-2, 3, 1000)
+    for symbols in (values, values.astype(np.int8), values.astype(float), values.tolist()):
+        expected = " ".join("+1" if s > 0 else "-1" for s in symbols)
+        assert symbols_to_line(symbols) == expected
+
+
+def reference_walk(q, start, steps, seed):
+    """The per-step loop both samplers ran before the scan: the state moves
+    to 0 when the draw is below q[state].  Returns (symbols, final state)."""
+    out = np.empty(steps, dtype=np.int8)
+    state = start
+    for k, u in enumerate(np.random.default_rng(seed).random(steps)):
+        state = 0 if u < q[state] else 1
+        out[k] = state
+    return 1 - 2 * out, state
+
+
+@pytest.mark.parametrize(
+    "J, B, T",
+    [
+        (1.0, 0.3, 2.0),  # ferro: a middle draw copies the state
+        (-1.0, 0.5, 0.3),  # antiferro: a middle draw flips it
+        (1.0, 0.0, math.inf),  # merged rows: every draw resets
+        (0.0, 1.0, 1.0),  # merged rows at finite T
+        (3.0, 0.0, 0.05),  # near-deterministic rows
+        (-3.0, 0.0, 0.05),
+    ],
+)
+def test_samplers_match_reference_loop(J, B, T):
+    tm = transition_matrix(IsingParams(J, B, T))
+    su = build_step_unitaries(build_quantum_model(tm))
+    memories = (su.causal_state(0), su.causal_state(1))
+    # Thresholds of each backend's own route: t for the machine, the squared
+    # first amplitude of each memory vector for the circuit.
+    q_classical = (tm.t[0, 0], tm.t[1, 0])
+    q_quantum = tuple(float(m[0]) * float(m[0]) for m in memories)
+    machine = EpsilonMachine(tm)
+    for seed in range(12):
+        for start in (0, 1):
+            for steps in (0, 1, 2, 1000):
+                expected, final = reference_walk(q_classical, start, steps, seed)
+                symbols, state = sample_trajectory(machine, start, steps, seed)
+                assert symbols.dtype == np.int8
+                np.testing.assert_array_equal(symbols, expected)
+                assert state == final
+
+                expected, final = reference_walk(q_quantum, start, steps, seed)
+                symbols, memory = sample_quantum_trajectory(su, start, steps, seed)
+                np.testing.assert_array_equal(symbols, expected)
+                np.testing.assert_array_equal(memory, memories[final])
 
 
 def test_distribution_string_round_trip_and_csv():

@@ -2,13 +2,23 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
 import spin_epsilon.cli as cli
-from spin_epsilon import IsingParams, transition_matrix
+from spin_epsilon import (
+    EpsilonMachine,
+    IsingParams,
+    build_quantum_model,
+    build_step_unitaries,
+    sample_quantum_trajectory,
+    sample_trajectory,
+    symbols_to_line,
+    transition_matrix,
+)
 from spin_epsilon.verify import CheckResult
 
 CQ_SYMMETRIC = 0.6711874461252245
@@ -155,6 +165,46 @@ def test_simulate_forced_start_matches_first_row(capsys):
     assert symbols[0] in (-1, 1)
 
 
+CHUNK = cli.SIMULATE_CHUNK
+
+
+def boundary_seed(tm, kind):
+    """First seed whose draw at the first chunk boundary (step CHUNK + 1) is
+    a reset, or a middle draw that copies or flips the state."""
+    lo, hi = sorted(tm.t[:, 0])
+    for seed in range(1000):
+        u = np.random.default_rng(seed).random(CHUNK + 1)[CHUNK]
+        if (lo <= u < hi) == (kind != "reset"):
+            return seed
+    raise AssertionError(f"no seed puts a {kind} on the boundary")
+
+
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
+@pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize(
+    "point, kind",
+    [((1.0, 0.3, 2.0), "copy"), ((-1.0, 0.5, 0.3), "flip"), ((-1.0, 0.5, 0.3), "reset")],
+)
+def test_simulate_chunks_match_one_sampler_call(capsys, backend, steps, point, kind):
+    tm = transition_matrix(IsingParams(*point))
+    su = build_step_unitaries(build_quantum_model(tm))
+    seed = boundary_seed(tm, kind)
+    J, B, T = point
+    # One start differs from the state the first chunk ends in, so a chunk
+    # that forgot the carried state shows at one of them.
+    for start, flag in ((0, "--start=+1"), (1, "--start=-1")):
+        code, out, err = run_cli(
+            capsys, "simulate", "--backend", backend, f"--J={J}", f"--B={B}", f"--T={T}",
+            "--steps", str(steps), "--seed", str(seed), flag,
+        )
+        if backend == "classical":
+            symbols, _ = sample_trajectory(EpsilonMachine(tm), start, steps, seed)
+        else:
+            symbols, _ = sample_quantum_trajectory(su, start, steps, seed)
+        assert (code, err) == (0, "")
+        assert out == symbols_to_line(symbols) + "\n"
+
+
 def test_simulate_backends_statistically_equivalent(capsys):
     # Two-sample chi-square on 2-grams; strided to decorrelate neighbouring
     # bigrams so the chi-square null calibration applies.
@@ -235,6 +285,39 @@ def test_verify_reports_failure(monkeypatch, capsys):
 )
 def test_usage_errors_exit_two(capsys, args):
     assert run_cli(capsys, *args)[0] == 2
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("verify", "--level", "quick")])
+def test_negative_seed_names_the_option(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("complexity", "--J=-1e300", "--B=0", "--T=1e-10", "--format", "json"),
+         "Boltzmann exponent overflows double precision for these parameters "
+         "(J=-1e+300, B=0.0, T=1e-10)"),
+        (("simulate", "--J=-1e300", "--B=0", "--T=1e-10"),
+         "Boltzmann exponent overflows double precision for these parameters "
+         "(J=-1e+300, B=0.0, T=1e-10)"),
+        (("complexity", "--J=1", "--B=0", "--T=5e-324"),
+         "Boltzmann exponent overflows double precision for these parameters "
+         "(J=1.0, B=0.0, T=5e-324)"),
+        (("complexity", "--J=1e300", "--B=0", "--T=1"),
+         "transfer matrix underflows double precision for these parameters "
+         "(J=1e+300, B=0.0, T=1.0)"),
+    ],
+)
+def test_out_of_range_exponents_exit_two_with_one_error_line(capsys, args, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_unknown_flag_exits_two(capsys):

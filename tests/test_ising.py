@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_underflow_guard():
     # An array names its first underflowing temperature.
     with pytest.raises(ValueError, match=r"underflows double precision .*T=0\.0015\)"):
         transition_arrays(1.0, 0.3, [1.0, 0.0015, 0.001])
+
+
+@pytest.mark.parametrize(
+    "J, B, T, first",
+    [
+        (-1e300, 0.0, [1e300, 1e-10, 1e-20], "1e-10"),  # J/T overflows
+        (1.0, 0.0, [1.0, 5e-324], "5e-324"),  # 1/T overflows
+        (0.0, 0.0, [5e-324], "5e-324"),
+        (1e308, 1e308, [math.inf], "inf"),  # J + B overflows
+    ],
+)
+def test_overflow_guard_names_first_temperature_without_warnings(J, B, T, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"exponent overflows .*T={first}\)"):
+            transition_arrays(J, B, T)
 
 
 def test_single_step_agrees_with_ring_enumeration(ring_cache):
