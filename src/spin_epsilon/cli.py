@@ -14,6 +14,7 @@ names the key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
 from .quantum import build_quantum_model, complexity, find_tmax
-from .sweep import compute_row, rows_to_csv, rows_to_json, run_sweep, temperature_grid
+from .sweep import compute_row, sweep_columns, temperature_grid, write_sweep
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -130,12 +131,9 @@ def _row_text(row) -> str:
 def cmd_complexity(args: argparse.Namespace) -> int:
     opt = _Options(args)
     row = compute_row(opt.get("J"), opt.get("B"), opt.get("T"))
-    payload = json.dumps(row.as_dict())
-    if opt.get("format", cast=str) == "json":
-        print(payload)
-    else:
+    if opt.get("format", cast=str) != "json":
         print(_row_text(row))
-        print(payload)
+    print(json.dumps(row.as_dict()))
     return EXIT_OK
 
 
@@ -149,29 +147,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         opt.get("t_min"), opt.get("t_max"), opt.get("points", cast=int),
         opt.get("spacing", cast=str),
     )
-    rows = run_sweep(opt.get("J"), opt.get("B"), grid)
+    columns = sweep_columns(opt.get("J"), opt.get("B"), grid)
     fmt = opt.get("format", cast=str) or "csv"
     try:
         with open(out, "w", newline="") as handle:
-            if fmt == "json":
-                json.dump(rows_to_json(rows), handle, indent=2)
-                handle.write("\n")
-            else:
-                handle.write(rows_to_csv(rows))
+            write_sweep(handle, columns, fmt)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    best = max(range(len(rows)), key=lambda i: rows[i].c_q_bits)
-    print(
-        json.dumps(
-            {
-                "points": len(rows),
-                "out": out,
-                "cq_argmax_T": rows[best].T,
-                "cq_max_bits": rows[best].c_q_bits,
-            }
-        )
-    )
+    T, c_q = columns["T"], columns["C_q_bits"]
+    best = c_q.index(max(c_q))  # first maximum
+    summary = {
+        "points": len(c_q),
+        "out": out,
+        "cq_argmax_T": T[best],
+        "cq_max_bits": c_q[best],
+    }
+    print(json.dumps(summary))
     return EXIT_OK
 
 
@@ -222,15 +214,13 @@ def cmd_tmax(args: argparse.Namespace) -> int:
         "boundary": result.boundary,
         "unimodal": result.unimodal,
     }
-    if opt.get("format", cast=str) == "json":
-        print(json.dumps(payload))
-    else:
+    if opt.get("format", cast=str) != "json":
         kind = "boundary result (no interior maximum)" if result.boundary else "interior maximum"
         print(f"{kind} for J = {J:g}, B = {B:g}")
         print(f"  T_max  = {format_float(result.temperature)}")
         print(f"  C_q    = {format_float(result.cq)} bits")
         print(f"  C_mu   = {format_float(c_mu)} bits")
-        print(json.dumps(payload))
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -256,6 +246,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built on first use; holds no per-call state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spin-epsilon",
@@ -306,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,18 +1,19 @@
 """Parameter sweeps over temperature with CSV/JSON serialization.
 
 A whole sweep is one closed-form array evaluation (:func:`quantum.complexity`)
-over the temperature grid, split into rows in grid order.  Each row is a pure
-function of (J, B, T) alone, so sweeps are reproducible byte-for-byte and a
-single point equals the same point inside any sweep.
+over the temperature grid, kept as lists in CSV column order and streamed to
+the file in chunks of rows.  Each row depends on (J, B, T) alone, so sweeps are
+reproducible byte-for-byte and a single point equals the same point in a sweep.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .distribution import format_float
 from .quantum import complexity
 
 __all__ = [
@@ -21,15 +22,23 @@ __all__ = [
     "SweepRow",
     "compute_row",
     "temperature_grid",
+    "sweep_columns",
     "run_sweep",
-    "rows_to_csv",
-    "rows_to_json",
+    "write_sweep",
 ]
 
 CSV_HEADER = "T,J,B,p0,p1,T00,T01,T10,T11,fidelity,C_mu_bits,C_q_bits,ratio"
+_KEYS = CSV_HEADER.split(",")
 
 # Below this quantum complexity the efficiency ratio is left blank.
 RATIO_FLOOR = 1e-12
+CSV_CHUNK = 4096  # rows formatted per write: no whole-file string
+_CELLS = ",".join(["%.17g"] * 12) + ","  # 17 digits round-trip float64
+
+
+def _csv_line(row) -> str:
+    *cells, ratio = row
+    return _CELLS % tuple(cells) + ("" if ratio is None else "%.17g" % ratio)
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,10 @@ class SweepRow:
 
     # Fields are declared in CSV column order, and vars() keeps that order.
     def csv_line(self) -> str:
-        *values, ratio = vars(self).values()
-        cells = [format_float(x) for x in values]
-        cells.append("" if ratio is None else format_float(ratio))
-        return ",".join(cells)
+        return _csv_line(vars(self).values())
 
     def as_dict(self) -> dict:
-        return dict(zip(CSV_HEADER.split(","), vars(self).values()))
+        return dict(zip(_KEYS, vars(self).values()))
 
 
 def compute_row(J: float, B: float, T: float) -> SweepRow:
@@ -81,38 +87,42 @@ def temperature_grid(
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
-    """Compute every grid point (a scalar is one point); rows follow the grid.
+def sweep_columns(J: float, B: float, grid) -> dict[str, list]:
+    """Every grid point (a scalar is one point): one list per CSV column, in order.
 
-    Aborts with a diagnostic naming the first temperature where the quantum
-    complexity exceeds the classical one beyond round-off: that would mean a
-    construction bug.
+    Aborts naming the first T where C_q > C_mu beyond round-off: a construction bug.
     """
     temperatures = np.asarray(grid, dtype=float)
     stats = complexity(J, B, temperatures)
-    columns = (
-        temperatures.reshape(-1).tolist(),
-        *stats.p.reshape(-1, 2).T.tolist(),
-        *stats.t.reshape(-1, 4).T.tolist(),
-        *(x.reshape(-1).tolist() for x in (stats.overlap, stats.c_mu, stats.c_q)),
-    )
-    rows = []
-    for T, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q in zip(*columns):
-        if c_q > c_mu + 1e-10:
-            raise RuntimeError(
-                f"invariant violated at (J={J}, B={B}, T={T}): "
-                f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
-            )
-        ratio = c_mu / c_q if c_q >= RATIO_FLOOR else None
-        rows.append(
-            SweepRow(T, J, B, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q, ratio)
+    T, c_mu, c_q = (x.reshape(-1) for x in (temperatures, stats.c_mu, stats.c_q))
+    bad = c_q > c_mu + 1e-10
+    if bad.any():
+        T, c_mu, c_q = (x[bad.argmax()].item() for x in (T, c_mu, c_q))
+        raise RuntimeError(
+            f"invariant violated at (J={J}, B={B}, T={T}): "
+            f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
         )
-    return rows
+    columns = [
+        T.tolist(), [J] * T.size, [B] * T.size,
+        *stats.p.reshape(-1, 2).T.tolist(), *stats.t.reshape(-1, 4).T.tolist(),
+        stats.overlap.reshape(-1).tolist(), c_mu.tolist(), c_q.tolist(),
+    ]
+    ratio = [m / q if q >= RATIO_FLOOR else None for m, q in zip(*columns[-2:])]
+    return dict(zip(_KEYS, columns + [ratio]))
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
+def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
+    """:func:`sweep_columns` as one :class:`SweepRow` per grid point."""
+    return [SweepRow(*row) for row in zip(*sweep_columns(J, B, grid).values())]
 
 
-def rows_to_json(rows: list[SweepRow]) -> list[dict]:
-    return [row.as_dict() for row in rows]
+def write_sweep(handle, columns: dict[str, list], fmt: str) -> None:
+    """Write sweep columns as CSV, ``CSV_CHUNK`` rows per write, or as JSON."""
+    rows = zip(*columns.values())
+    if fmt == "json":
+        json.dump([dict(zip(_KEYS, row)) for row in rows], handle, indent=2)
+        handle.write("\n")
+        return
+    handle.write(CSV_HEADER + "\n")
+    while chunk := [_csv_line(row) for row in islice(rows, CSV_CHUNK)]:
+        handle.write("\n".join(chunk) + "\n")

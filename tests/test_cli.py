@@ -31,7 +31,8 @@ def run_cli(capsys, *args):
 
 
 def parse_symbols(text):
-    return np.array([int(tok) for tok in text.split()], dtype=np.int64)
+    # loadtxt raises on any token that is not an integer.
+    return np.loadtxt([text], dtype=np.int64, ndmin=1)
 
 
 def test_complexity_prints_text_and_json(capsys):
@@ -324,6 +325,49 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["complexity", "--bogus", "1"])
     assert excinfo.value.code == 2
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one cli.main call, argparse exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("sequence", ["sweep", "complexity", "simulate", "usage-error"])
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, sequence):
+    config = tmp_path / "five.cfg"
+    config.write_text("points = 5\n")
+    out = tmp_path / "sweep.csv"
+    calls = {
+        "sweep": [
+            ["sweep", "--points", "3", "--out", str(out)],
+            ["sweep", "--config", str(config), "--out", str(out)],
+        ],
+        "complexity": [["complexity", "--format", "json"], ["complexity"]],
+        "simulate": [["simulate", "--steps", "20", "--seed", "7"], ["simulate", "--steps", "20"]],
+        "usage-error": [
+            ["sweep", "--points", "5", "--spacing", "cubic", "--out", str(out)],
+            ["sweep", "--out", str(out)],
+        ],
+    }[sequence]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        return run_main(capsys, argv), out.read_bytes() if out.exists() else None
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert cli.build_parser() is cli.build_parser()
+    if sequence == "usage-error":
+        assert [result[0][0] for result in alone] == [2, 0]
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -1,18 +1,24 @@
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import spin_epsilon.cli as cli
 import spin_epsilon.sweep as sweep_mod
+from spin_epsilon.distribution import format_float
+from spin_epsilon.quantum import complexity
 from spin_epsilon.sweep import (
+    CSV_CHUNK,
     CSV_HEADER,
+    RATIO_FLOOR,
     compute_row,
-    rows_to_csv,
-    rows_to_json,
     run_sweep,
+    sweep_columns,
     temperature_grid,
+    write_sweep,
 )
 
 # Frozen from the first verified run at (J=1, B=0.3, T=2).
@@ -28,6 +34,43 @@ ROW_GOLDEN = {
     "C_q_bits": 0.26543003592138781,
     "ratio": 3.3676593374270345,
 }
+
+
+def written(J, B, grid, fmt="csv"):
+    handle = io.StringIO()
+    write_sweep(handle, sweep_columns(J, B, grid), fmt)
+    return handle.getvalue()
+
+
+def reference_rows(J, B, grid):
+    """The former per-row loop: one tuple per grid point in CSV column order."""
+    stats = complexity(J, B, np.asarray(grid, dtype=float))
+    columns = (
+        np.asarray(grid, dtype=float).tolist(),
+        *stats.p.T.tolist(),
+        *stats.t.reshape(-1, 4).T.tolist(),
+        stats.overlap.tolist(), stats.c_mu.tolist(), stats.c_q.tolist(),
+    )
+    rows = []
+    for T, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q in zip(*columns):
+        ratio = c_mu / c_q if c_q >= RATIO_FLOOR else None
+        rows.append((T, J, B, p0, p1, t00, t01, t10, t11, overlap, c_mu, c_q, ratio))
+    return rows
+
+
+def reference_csv(rows):
+    """The former row join: one format_float call per cell, whole-file string."""
+    lines = [CSV_HEADER]
+    for *values, ratio in rows:
+        cells = [format_float(x) for x in values]
+        cells.append("" if ratio is None else format_float(ratio))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(rows):
+    keys = CSV_HEADER.split(",")
+    return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
 
 
 def test_csv_header_exact():
@@ -59,10 +102,12 @@ def test_ratio_blank_below_floor():
         assert row.c_mu_bits == 0.0 and row.c_q_bits == 0.0
         assert row.ratio is None
         assert row.csv_line().endswith(",")
-        assert rows_to_json([row])[0]["ratio"] is None
+        assert json.loads(written(J, B, T, "json"))[0]["ratio"] is None
 
 
-def test_row_invariant_abort(monkeypatch):
+@pytest.fixture
+def broken_closed_form(monkeypatch):
+    """Make C_q exceed C_mu from T = 2 on."""
     closed_form = sweep_mod.complexity
 
     def broken(J, B, T):
@@ -71,10 +116,25 @@ def test_row_invariant_abort(monkeypatch):
         return dataclasses.replace(stats, c_q=c_q)
 
     monkeypatch.setattr(sweep_mod, "complexity", broken)
+
+
+def test_row_invariant_abort(broken_closed_form):
     with pytest.raises(RuntimeError, match="C_q"):
         compute_row(1.0, 0.3, 2.0)
     with pytest.raises(RuntimeError, match=r"T=2\.0\)"):
         run_sweep(1.0, 0.3, [1.0, 2.0, 3.0])
+
+
+def test_invariant_abort_writes_no_file(broken_closed_form, tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code = cli.main([
+        "sweep", "--J", "1", "--B", "0.3", "--t-min", "1", "--t-max", "3",
+        "--points", "3", "--spacing", "linear", "--out", str(out_path),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "T=2.0)" in captured.err and captured.out == ""
+    assert not out_path.exists()
 
 
 def test_temperature_grid_spacings():
@@ -101,7 +161,7 @@ def test_temperature_grid_guards(args):
 def test_sweep_order_and_rerun_identical():
     grid = temperature_grid(0.05, 100.0, 40, "log")
     rows = run_sweep(1.0, 0.3, grid)
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(1.0, 0.3, grid))
+    assert written(1.0, 0.3, grid) == written(1.0, 0.3, grid)
     assert [r.T for r in rows] == [float(t) for t in grid]
     # A point inside a sweep is byte-identical to the same point alone.
     for row in rows:
@@ -115,9 +175,38 @@ def test_sweep_rows_respect_memory_ordering():
 
 
 def test_json_rows_serializable():
-    rows = run_sweep(1.0, 0.3, temperature_grid(0.5, 5.0, 4, "log"))
-    payload = json.dumps(rows_to_json(rows))
-    decoded = json.loads(payload)
+    decoded = json.loads(written(1.0, 0.3, temperature_grid(0.5, 5.0, 4, "log"), "json"))
     assert len(decoded) == 4
     assert decoded[0]["T"] == pytest.approx(0.5)
     assert math.isfinite(decoded[-1]["C_q_bits"])
+
+
+# Which ratio cells are blank from T = 0.05: the exactly-zero low-T C_q plateau
+# of (1, 3), and C_q below RATIO_FLOOR at the lowest T of (1, 0.3), mix blank
+# and numeric cells in one file.
+MIXED, NUMERIC, BLANK = {True, False}, {False}, {True}
+
+
+@pytest.mark.parametrize(
+    "J, B, blank",
+    [(1.0, 0.3, MIXED), (-1.0, 0.5, NUMERIC), (0.0, 0.0, BLANK), (0.0, 1.0, BLANK),
+     (1.0, 3.0, MIXED)],
+)
+@pytest.mark.parametrize("points", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank, points):
+    grid = temperature_grid(0.05, 100.0, points, "log")
+    rows = reference_rows(J, B, grid)
+    assert {row[-1] is None for row in rows} == blank
+    expected = {"csv": reference_csv(rows)}
+    if points == CSV_CHUNK + 1:  # only CSV is written in chunks
+        expected["json"] = reference_json(rows)
+    for fmt, text in expected.items():
+        out_path = tmp_path / f"sweep.{fmt}"
+        assert cli.main([
+            "sweep", "--J", str(J), "--B", str(B), "--t-min", "0.05", "--t-max", "100",
+            "--points", str(points), "--format", fmt, "--out", str(out_path),
+        ]) == 0
+        assert out_path.read_bytes() == text.encode()
+    capsys.readouterr()
+    lines = expected["csv"].splitlines()[1:]
+    assert [row.csv_line() for row in run_sweep(J, B, grid)] == lines
