@@ -4,10 +4,16 @@ Subcommands: ``complexity``, ``sweep``, ``simulate``, ``tmax``, ``verify``.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (or a violated internal invariant), 2 usage error.
 
+Each option is declared once, in :data:`OPTIONS`: its type, default, allowed
+values and help.  :data:`COMMANDS` names the options each subcommand takes;
+the parser, the config file and the defaults all read these two tables.
+
 Option values resolve as flags > config file > built-in defaults.  The config
 file is flat ``KEY=VALUE`` lines (keys named like the long flags, underscores
-for dashes, ``#`` comments allowed).  An unknown key, a value that does not
-parse, or a value outside the matching flag's choices is a usage error that
+for dashes, ``#`` comments allowed).  Config files are shared across
+commands: any option's key is valid in any command's file, and a key for an
+option the command does not take is ignored.  An unknown key, or a value that
+does not parse or lies outside the option's choices, is a usage error that
 names the key.
 """
 
@@ -18,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,32 +42,35 @@ EXIT_USAGE = 2
 
 SIMULATE_CHUNK = 2**16  # simulate writes each chunk as drawn: memory flat in --steps
 
-_DEFAULTS = {
-    "J": 1.0,
-    "B": 0.0,
-    "T": 1.0,
-    "t_min": 0.05,
-    "t_max": 100.0,
-    "points": 200,
-    "spacing": "log",
-    "seed": 0,
-    "steps": 1000,
-    "start": "+1",
-    "backend": "classical",
-    "level": "quick",
-    "tol": 1e-4,
-    "format": None,
-    "out": None,
-}
 
-# Allowed values of the options that argparse restricts to a fixed set; a
-# config file is held to the same choices.
-_CHOICES = {
-    "format": ("csv", "json"),
-    "spacing": ("linear", "log"),
-    "backend": ("classical", "quantum"),
-    "level": ("quick", "full"),
+class Option(NamedTuple):
+    """One option: flag ``--name`` (dashes for underscores), config key ``name``."""
+
+    type: Callable
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+OPTIONS = {
+    "J": Option(float, 1.0, help="coupling strength"),
+    "B": Option(float, 0.0, help="external field"),
+    "T": Option(float, 1.0, help="temperature (inf allowed)"),
+    "t_min": Option(float, 0.05),
+    "t_max": Option(float, 100.0),
+    "points": Option(int, 200),
+    "spacing": Option(str, "log", ("linear", "log")),
+    "seed": Option(int, 0),
+    "steps": Option(int, 1000),
+    "start": Option(str, "+1", help="starting symbol, +1 or -1"),
+    "backend": Option(str, "classical", ("classical", "quantum")),
+    "level": Option(str, "quick", ("quick", "full")),
+    "tol": Option(float, 1e-4),
+    "format": Option(str, "csv", ("csv", "json"), "output format"),
+    "out": Option(str, help="output file path"),
+    "config": Option(str, help="flat KEY=VALUE config file"),
 }
+CONFIG_KEYS = OPTIONS.keys() - {"config"}  # --config names the file, not a key in it
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -78,31 +88,28 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Flags > config > defaults resolution for one parsed command."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(args.config) if args.config else {}
-        for key in self.config:
-            if key not in _DEFAULTS:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
-
-    def get(self, name: str, cast=float):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name not in self.config:
-            return _DEFAULTS[name]
-        raw = self.config[name]
-        where = f"{self.args.config}: config key {name!r}"
+def resolve_options(args: argparse.Namespace) -> None:
+    """Give each option of ``args.command`` that no flag set its config value or default."""
+    config = load_config(args.config) if args.config else {}
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+    for name in COMMANDS[args.command].options.split():
+        option = OPTIONS[name]
+        if getattr(args, name) is not None:
+            continue
+        if name not in config:
+            setattr(args, name, option.default)
+            continue
+        raw = config[name]
+        where = f"{args.config}: config key {name!r}"
         try:
-            value = cast(raw)
+            value = option.type(raw)
         except ValueError:
             raise ValueError(f"{where}: invalid value {raw!r}") from None
-        if name in _CHOICES and value not in _CHOICES[name]:
-            raise ValueError(f"{where} must be one of {_CHOICES[name]}, got {raw!r}")
-        return value
+        if option.choices and value not in option.choices:
+            raise ValueError(f"{where} must be one of {option.choices}, got {raw!r}")
+        setattr(args, name, value)
 
 
 def _parse_start(token: str) -> int:
@@ -129,29 +136,23 @@ def _row_text(row) -> str:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    row = compute_row(opt.get("J"), opt.get("B"), opt.get("T"))
-    if opt.get("format", cast=str) != "json":
+    row = compute_row(args.J, args.B, args.T)
+    if args.format != "json":
         print(_row_text(row))
     print(json.dumps(row.as_dict()))
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    out = opt.get("out", cast=str)
+    out = args.out
     if out is None:
         print("error: sweep requires --out PATH", file=sys.stderr)
         return EXIT_USAGE
-    grid = temperature_grid(
-        opt.get("t_min"), opt.get("t_max"), opt.get("points", cast=int),
-        opt.get("spacing", cast=str),
-    )
-    columns = sweep_columns(opt.get("J"), opt.get("B"), grid)
-    fmt = opt.get("format", cast=str) or "csv"
+    grid = temperature_grid(args.t_min, args.t_max, args.points, args.spacing)
+    columns = sweep_columns(args.J, args.B, grid)
     try:
         with open(out, "w", newline="") as handle:
-            write_sweep(handle, columns, fmt)
+            write_sweep(handle, columns, args.format)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -167,27 +168,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seed(opt: _Options) -> int:
-    seed = opt.get("seed", cast=int)
+def _seed(seed: int) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    backend = opt.get("backend", cast=str)
-    params = IsingParams(opt.get("J"), opt.get("B"), opt.get("T"))
-    tm = transition_matrix(params)
-    start = _parse_start(opt.get("start", cast=str))
-    steps = opt.get("steps", cast=int)
+    tm = transition_matrix(IsingParams(args.J, args.B, args.T))
+    start = _parse_start(args.start)
+    steps = args.steps
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    rng = np.random.default_rng(_seed(opt))
+    rng = np.random.default_rng(_seed(args.seed))
     if steps == 0:
         return EXIT_OK
     # Chunks share one Generator and carry the state: one call's stream.
-    if backend == "classical":
+    if args.backend == "classical":
         machine = EpsilonMachine(tm)
         sample = lambda state, n: sample_trajectory(machine, state, n, rng)[0]
     else:
@@ -203,9 +200,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_tmax(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    J, B = opt.get("J"), opt.get("B")
-    result = find_tmax(J, B, (opt.get("t_min"), opt.get("t_max")), opt.get("tol"))
+    J, B = args.J, args.B
+    result = find_tmax(J, B, (args.t_min, args.t_max), args.tol)
     c_mu = float(complexity(J, B, result.temperature).c_mu)
     payload = {
         "T_max": result.temperature,
@@ -214,7 +210,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
         "boundary": result.boundary,
         "unimodal": result.unimodal,
     }
-    if opt.get("format", cast=str) != "json":
+    if args.format != "json":
         kind = "boundary result (no interior maximum)" if result.boundary else "interior maximum"
         print(f"{kind} for J = {J:g}, B = {B:g}")
         print(f"  T_max  = {format_float(result.temperature)}")
@@ -225,9 +221,8 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    level = opt.get("level", cast=str)
-    results = run_verification(level, _seed(opt))
+    level = args.level
+    results = run_verification(level, _seed(args.seed))
     for result in results:
         print(result)
     if all(r.passed for r in results):
@@ -237,13 +232,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--J", type=float, default=None, help="coupling strength")
-    parser.add_argument("--B", type=float, default=None, help="external field")
-    parser.add_argument("--config", default=None, help="flat KEY=VALUE config file")
-    parser.add_argument(
-        "--format", choices=_CHOICES["format"], default=None, help="output format"
-    )
+class Command(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    options: str  # keys of OPTIONS, space-separated, in flag order
+
+
+COMMANDS = {
+    "complexity": Command(cmd_complexity, "one-point complexity report", "J B config format T"),
+    "sweep": Command(cmd_sweep, "temperature sweep to CSV/JSON",
+                     "J B config format t_min t_max points spacing out"),
+    "simulate": Command(cmd_simulate, "stream a sampled symbol trajectory",
+                        "J B config backend T steps seed start"),
+    "tmax": Command(cmd_tmax, "locate the quantum-complexity maximum",
+                    "J B config format t_min t_max tol"),
+    "verify": Command(cmd_verify, "run the self-verification suite", "config level seed"),
+}
 
 
 @functools.cache  # built on first use; holds no per-call state
@@ -256,49 +260,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("complexity", help="one-point complexity report")
-    _add_common(p)
-    p.add_argument("--T", type=float, default=None, help="temperature (inf allowed)")
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("sweep", help="temperature sweep to CSV/JSON")
-    _add_common(p)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--spacing", choices=_CHOICES["spacing"], default=None)
-    p.add_argument("--out", default=None, help="output file path")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="stream a sampled symbol trajectory")
-    _add_common(p)
-    p.add_argument("--backend", choices=_CHOICES["backend"], default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--start", default=None, help="starting symbol, +1 or -1")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("tmax", help="locate the quantum-complexity maximum")
-    _add_common(p)
-    p.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_tmax)
-
-    p = sub.add_parser("verify", help="run the self-verification suite")
-    _add_common(p)
-    p.add_argument("--level", choices=_CHOICES["level"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
+    for command, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in options.split():
+            option = OPTIONS[name]
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=option.type, choices=option.choices, help=option.help,
+            )
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        resolve_options(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

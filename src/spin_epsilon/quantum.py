@@ -76,7 +76,13 @@ def stationary_density(model: QuantumModel) -> np.ndarray:
 
 
 def quantum_statistical_complexity(model: QuantumModel) -> float:
-    """Von Neumann entropy (bits) of the stationary memory state."""
+    """Von Neumann entropy (bits) of the stationary memory state.
+
+    Returns 0 when the causal states merge (:func:`classical.merged_rows` of
+    the squared amplitudes), as :func:`complexity` does.
+    """
+    if merged_rows(model.amp**2):
+        return 0.0
     smaller, _ = mixture_eigenvalues(float(np.min(model.weights)), model.overlap())
     return float(binary_entropy_bits(smaller))
 
@@ -205,9 +211,9 @@ def find_tmax(
     argmax with a warning.
     """
     lo, hi = t_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"t_range must satisfy 0 < lo < hi, got {t_range}")
-    if tol <= 0.0:
+    if not 0.0 < lo < hi < np.inf:  # also rejects NaN
+        raise ValueError(f"t_range must satisfy 0 < lo < hi < inf, got {t_range}")
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
     grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside

@@ -76,8 +76,8 @@ def temperature_grid(
     t_min: float, t_max: float, points: int, spacing: str = "log"
 ) -> np.ndarray:
     """Deterministic temperature grid, linear or log spaced."""
-    if t_min <= 0 or t_max <= t_min:
-        raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not 0 < t_min < t_max < np.inf:  # also rejects NaN
+        raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     if spacing == "log":

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,16 @@ CQ_SYMMETRIC = 0.6711874461252245
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one cli.main call, argparse exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -282,10 +296,73 @@ def test_verify_reports_failure(monkeypatch, capsys):
         ("simulate", "--backend", "classical", "--steps", "-3"),
         ("simulate", "--backend", "classical", "--start", "2"),
         ("tmax", "--J", "1", "--B", "0.3", "--tol", "-1"),
+        ("tmax", "--J", "1", "--B", "0.3", "--tol", "nan"),
+        ("tmax", "--t-max", "inf"),
+        ("tmax", "--t-min", "nan"),
+        ("sweep", "--t-max", "inf", "--out", os.devnull),
+        ("sweep", "--t-min", "nan", "--out", os.devnull),
+        # Flags a command does not read are not declared for it.
+        ("verify", "--J", "1"),
+        ("verify", "--B", "1"),
+        ("verify", "--format", "json"),
+        ("simulate", "--format", "json"),
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
-    assert run_cli(capsys, *args)[0] == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_main(capsys, list(args))
+    assert (code, out) == (2, "")
+    assert [str(w.message) for w in caught] == []
+
+
+# Every command's flags, and one valid value for each flag.
+COMMAND_FLAGS = {
+    "complexity": ["--J", "--B", "--config", "--format", "--T"],
+    "sweep": ["--J", "--B", "--config", "--format", "--t-min", "--t-max", "--points",
+              "--spacing", "--out"],
+    "simulate": ["--J", "--B", "--config", "--backend", "--T", "--steps", "--seed", "--start"],
+    "tmax": ["--J", "--B", "--config", "--format", "--t-min", "--t-max", "--tol"],
+    "verify": ["--config", "--level", "--seed"],
+}
+FLAG_VALUES = {
+    "--J": "1", "--B": "0.3", "--T": "inf", "--config": "chain.cfg", "--format": "json",
+    "--t-min": "0.1", "--t-max": "9", "--points": "7", "--spacing": "linear",
+    "--out": "o.csv", "--backend": "quantum", "--steps": "5", "--seed": "3",
+    "--start": "-1", "--tol": "1e-6", "--level": "full",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_declares_exactly_its_flags(capsys, command):
+    parser = cli.build_parser()
+    for flag, value in FLAG_VALUES.items():
+        argv = [command, flag, value]
+        if flag in COMMAND_FLAGS[command]:
+            assert getattr(parser.parse_args(argv), flag[2:].replace("-", "_")) is not None
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_commands():
+    """argv of every ``spin-epsilon ...`` line in README's ``sh`` blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in lines.splitlines()
+        if line.startswith("spin-epsilon ")
+    ]
+
+
+def test_readme_command_examples_parse():
+    commands = readme_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(COMMAND_FLAGS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv)  # argparse exits on a flag it does not know
 
 
 @pytest.mark.parametrize("command", [("simulate",), ("verify", "--level", "quick")])
@@ -325,16 +402,6 @@ def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["complexity", "--bogus", "1"])
     assert excinfo.value.code == 2
-
-
-def run_main(capsys, argv):
-    """(exit code, stdout, stderr) of one cli.main call, argparse exits included."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("sequence", ["sweep", "complexity", "simulate", "usage-error"])
@@ -428,6 +495,11 @@ def test_config_value_that_fails_its_cast_names_the_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(tmp_path / "o.csv"))
     assert code == 2
     assert "'points'" in err and "'abc'" in err
+    # Config files are shared: a key for an option this command does not
+    # take is neither cast nor rejected.
+    code, out, err = run_cli(capsys, "complexity", "--config", str(config), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["C_mu_bits"] == 1.0
 
 
 @pytest.mark.parametrize(

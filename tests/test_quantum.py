@@ -9,6 +9,7 @@ from spin_epsilon import (
     QuantumModel,
     build_quantum_model,
     classical_fidelity,
+    complexity,
     entropy_bits,
     fidelity_saturation_check,
     find_tmax,
@@ -100,6 +101,19 @@ def test_cq_golden_symmetric_point():
     assert abs(
         quantum_statistical_complexity(model_for(1.0, 0.0, 1.0)) - CQ_SYMMETRIC
     ) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "J, B, T",
+    [(0.0, 0.3, 1.0), (0.0, 1.0, 1.0), (0.0, 2.5, 1.0), (1e-14, 1.0, 1.0),
+     (1e-13, 0.5, 1.0), (1.0, 0.0, math.inf)],
+)
+def test_scalar_routes_are_exactly_zero_where_causal_states_merge(J, B, T):
+    # C_q == 0 whenever C_mu == 0, on the scalar routes as on the array one.
+    tm = transition_matrix(IsingParams(J, B, T))
+    stats = complexity(J, B, T)
+    assert statistical_complexity(tm) == stats.c_mu == 0.0
+    assert quantum_statistical_complexity(build_quantum_model(tm)) == stats.c_q == 0.0
 
 
 def test_quantum_never_beats_classical_memory():
@@ -243,12 +257,16 @@ def test_find_tmax_degenerate_chain_flat_zero():
 
 
 def test_find_tmax_input_guards():
-    with pytest.raises(ValueError):
-        find_tmax(1.0, 0.3, (0.0, 10.0), 1e-4)
-    with pytest.raises(ValueError):
-        find_tmax(1.0, 0.3, (5.0, 1.0), 1e-4)
-    with pytest.raises(ValueError):
-        find_tmax(1.0, 0.3, (0.05, 100.0), 0.0)
+    for t_range, tol in [
+        ((0.0, 10.0), 1e-4), ((5.0, 1.0), 1e-4), ((0.05, 100.0), 0.0),
+        ((0.05, math.inf), 1e-4), ((math.nan, 1.0), 1e-4), ((0.05, math.nan), 1e-4),
+        ((0.05, 100.0), math.nan),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                find_tmax(1.0, 0.3, t_range, tol)
+        assert caught == [], (t_range, tol)
 
 
 def test_mixture_eigenvalue_edges():

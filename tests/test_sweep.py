@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,11 +152,18 @@ def test_temperature_grid_spacings():
         (2.0, 1.0, 5, "log"),
         (1.0, 2.0, 1, "log"),
         (1.0, 2.0, 5, "cubic"),
+        (0.05, math.inf, 5, "log"),
+        (0.05, math.inf, 5, "linear"),
+        (math.nan, 2.0, 5, "log"),
+        (1.0, math.nan, 5, "linear"),
     ],
 )
 def test_temperature_grid_guards(args):
-    with pytest.raises(ValueError):
-        temperature_grid(*args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            temperature_grid(*args)
+    assert caught == []
 
 
 def test_sweep_order_and_rerun_identical():
