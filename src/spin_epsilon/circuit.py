@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .classical import scan_states
-from .distribution import FutureDistribution
+from .distribution import FutureDistribution, symbol_string
 from .quantum import QuantumModel
 
 __all__ = [
@@ -197,9 +197,7 @@ def assert_synchronization(
             worst = max(worst, float(deviation.max()))
             failing = np.flatnonzero(deviation > tol)
             if failing.size and first is None:
-                prefix = format(int(layer.history[failing[0]]), f"0{depth}b")
-                prefix = prefix.replace("0", "+").replace("1", "-")
-                first = (depth, prefix)
+                first = (depth, symbol_string(int(layer.history[failing[0]]), depth))
     return SyncReport(passed=first is None, max_deviation=worst, first_failure=first)
 
 

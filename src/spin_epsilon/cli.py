@@ -33,7 +33,7 @@ from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
 from .quantum import build_quantum_model, complexity, find_tmax
-from .sweep import compute_row, sweep_columns, temperature_grid, write_sweep
+from .sweep import compute_row, sweep_table, temperature_grid, write_sweep
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -149,22 +149,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: sweep requires --out PATH", file=sys.stderr)
         return EXIT_USAGE
     grid = temperature_grid(args.t_min, args.t_max, args.points, args.spacing)
-    columns = sweep_columns(args.J, args.B, grid)
+    table = sweep_table(args.J, args.B, grid)
     try:
         with open(out, "w", newline="") as handle:
-            write_sweep(handle, columns, args.format)
+            write_sweep(handle, table, args.format)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    T, c_q = columns["T"], columns["C_q_bits"]
-    best = c_q.index(max(c_q))  # first maximum
-    summary = {
-        "points": len(c_q),
-        "out": out,
-        "cq_argmax_T": T[best],
-        "cq_max_bits": c_q[best],
-    }
-    print(json.dumps(summary))
+    T, c_q = table[np.argmax(table[:, -1]), [0, -1]].tolist()  # C_q's first maximum
+    print(json.dumps({"points": len(table), "out": out, "cq_argmax_T": T, "cq_max_bits": c_q}))
     return EXIT_OK
 
 

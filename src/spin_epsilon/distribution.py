@@ -14,6 +14,11 @@ __all__ = ["FutureDistribution", "entropy_bits", "symbols_to_line", "format_floa
 SYMBOL_CHARS = "+-"
 
 
+def symbol_string(index: int, length: int) -> str:
+    """Render the index of a length-``length`` string, top bit first, as symbols: '+-+'."""
+    return "".join(SYMBOL_CHARS[int(b)] for b in format(index, f"0{length}b"))
+
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal rendering (round-trips float64 exactly)."""
     return f"{x:.17g}"
@@ -70,8 +75,7 @@ class FutureDistribution:
 
     def string(self, index: int) -> str:
         """Render table index as a symbol string such as '+-+'."""
-        bits = format(index, f"0{self.length}b")
-        return "".join(SYMBOL_CHARS[int(b)] for b in bits)
+        return symbol_string(index, self.length)
 
     def index(self, string: str) -> int:
         """Inverse of :meth:`string`."""

@@ -19,6 +19,7 @@ suffices.  All operations are pure value computations.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -184,9 +185,6 @@ class TmaxResult:
     boundary: bool  # argmax sat on a range endpoint; nothing interior found
     unimodal: bool  # coarse grid showed a single rise-then-fall profile
 
-    def __iter__(self):
-        return iter((self.temperature, self.cq))
-
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -206,9 +204,9 @@ def find_tmax(
 
     Coarse log-spaced grid scan (``grid_points`` points) followed by
     golden-section refinement of the bracketing interval down to width
-    ``tol``.  A maximum on a range endpoint is reported as a boundary result
-    rather than an error; a non-unimodal grid profile downgrades to the grid
-    argmax with a warning.
+    ``tol``, or to four ulps of T where that is wider.  A maximum on a range
+    endpoint is reported as a boundary result rather than an error; a
+    non-unimodal grid profile downgrades to the grid argmax with a warning.
     """
     lo, hi = t_range
     if not 0.0 < lo < hi < np.inf:  # also rejects NaN
@@ -239,7 +237,7 @@ def find_tmax(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = _cq(J, B, x1), _cq(J, B, x2)
-    while b - a > tol:
+    while b - a > max(tol, 4 * math.ulp(b)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -1,16 +1,14 @@
 """Parameter sweeps over temperature with CSV/JSON serialization.
 
 A whole sweep is one closed-form array evaluation (:func:`quantum.complexity`)
-over the temperature grid, kept as lists in CSV column order and streamed to
-the file in chunks of rows.  Each row depends on (J, B, T) alone, so sweeps are
-reproducible byte-for-byte and a single point equals the same point in a sweep.
+over the temperature grid: one float64 table in CSV column order, written as
+CSV or JSON in chunks of rows.  Each row depends on (J, B, T) alone, so sweeps
+are reproducible byte-for-byte and a single point equals the same point alone.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -22,7 +20,7 @@ __all__ = [
     "SweepRow",
     "compute_row",
     "temperature_grid",
-    "sweep_columns",
+    "sweep_table",
     "run_sweep",
     "write_sweep",
 ]
@@ -32,13 +30,21 @@ _KEYS = CSV_HEADER.split(",")
 
 # Below this quantum complexity the efficiency ratio is left blank.
 RATIO_FLOOR = 1e-12
-CSV_CHUNK = 4096  # rows formatted per write: no whole-file string
-_CELLS = ",".join(["%.17g"] * 12) + ","  # 17 digits round-trip float64
+CHUNK = 4096  # rows rendered per write: no whole-file string
+# Per format: head, row template (the ratio cell last, as text), ratio format
+# and blank, row separator, tail.  %.17g round-trips float64; %r is the float
+# repr json writes, and the JSON layout is exactly json.dump(..., indent=2).
+_LAYOUTS = {
+    "csv": (CSV_HEADER + "\n", ",".join(["%.17g"] * 12) + ",%s", "%.17g", "", "\n", "\n"),
+    "json": ("[\n", "  {\n" + "".join(f'    "{key}": %r,\n' for key in _KEYS[:-1])
+             + '    "ratio": %s\n  }', "%r", "null", ",\n", "\n]\n"),
+}
 
 
-def _csv_line(row) -> str:
-    *cells, ratio = row
-    return _CELLS % tuple(cells) + ("" if ratio is None else "%.17g" % ratio)
+def _lines(rows, fmt: str = "csv") -> list[str]:
+    """Render rows of 12 floats and a ratio (or None) in the ``fmt`` layout."""
+    _, template, number, blank, _, _ = _LAYOUTS[fmt]
+    return [template % (*cells, blank if r is None else number % r) for *cells, r in rows]
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class SweepRow:
 
     # Fields are declared in CSV column order, and vars() keeps that order.
     def csv_line(self) -> str:
-        return _csv_line(vars(self).values())
+        return _lines([vars(self).values()])[0]
 
     def as_dict(self) -> dict:
         return dict(zip(_KEYS, vars(self).values()))
@@ -87,13 +93,11 @@ def temperature_grid(
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def sweep_columns(J: float, B: float, grid) -> dict[str, list]:
-    """Every grid point (a scalar is one point): one list per CSV column, in order.
-
-    Aborts naming the first T where C_q > C_mu beyond round-off: a construction bug.
-    """
+def sweep_table(J: float, B: float, grid) -> np.ndarray:
+    """Every grid point (a scalar is one point) as a float64 row of the 12 numeric CSV
+    columns.  Aborts naming the first T where C_q > C_mu beyond round-off: a construction bug."""
     temperatures = np.asarray(grid, dtype=float)
-    stats = complexity(J, B, temperatures)
+    stats = complexity(J, B, temperatures)  # the grid's own shape: 0-d is cheapest
     T, c_mu, c_q = (x.reshape(-1) for x in (temperatures, stats.c_mu, stats.c_q))
     bad = c_q > c_mu + 1e-10
     if bad.any():
@@ -102,27 +106,29 @@ def sweep_columns(J: float, B: float, grid) -> dict[str, list]:
             f"invariant violated at (J={J}, B={B}, T={T}): "
             f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
         )
-    columns = [
-        T.tolist(), [J] * T.size, [B] * T.size,
-        *stats.p.reshape(-1, 2).T.tolist(), *stats.t.reshape(-1, 4).T.tolist(),
-        stats.overlap.reshape(-1).tolist(), c_mu.tolist(), c_q.tolist(),
-    ]
-    ratio = [m / q if q >= RATIO_FLOOR else None for m, q in zip(*columns[-2:])]
-    return dict(zip(_KEYS, columns + [ratio]))
+    n = T.size
+    table = np.empty((n, 12))  # filled in place: cheaper than stacking for one point
+    table[:, 0], table[:, 1], table[:, 2] = T, J, B
+    table[:, 3:5], table[:, 5:9] = stats.p.reshape(n, 2), stats.t.reshape(n, 4)
+    table[:, 9], table[:, 10], table[:, 11] = stats.overlap.reshape(n), c_mu, c_q
+    return table
+
+
+def _rows(table: np.ndarray) -> list[list]:
+    """Table rows as Python floats, each with its ratio cell (None below RATIO_FLOOR)."""
+    return [[*r, r[-2] / r[-1] if r[-1] >= RATIO_FLOOR else None] for r in table.tolist()]
 
 
 def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
-    """:func:`sweep_columns` as one :class:`SweepRow` per grid point."""
-    return [SweepRow(*row) for row in zip(*sweep_columns(J, B, grid).values())]
+    """:func:`sweep_table` as one :class:`SweepRow` per grid point."""
+    return [SweepRow(*row) for row in _rows(sweep_table(J, B, grid))]
 
 
-def write_sweep(handle, columns: dict[str, list], fmt: str) -> None:
-    """Write sweep columns as CSV, ``CSV_CHUNK`` rows per write, or as JSON."""
-    rows = zip(*columns.values())
-    if fmt == "json":
-        json.dump([dict(zip(_KEYS, row)) for row in rows], handle, indent=2)
-        handle.write("\n")
-        return
-    handle.write(CSV_HEADER + "\n")
-    while chunk := [_csv_line(row) for row in islice(rows, CSV_CHUNK)]:
-        handle.write("\n".join(chunk) + "\n")
+def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
+    """Write a :func:`sweep_table` as CSV or JSON, ``CHUNK`` rows per write."""
+    head, _, _, _, separator, tail = _LAYOUTS[fmt]
+    handle.write(head)
+    for start in range(0, len(table), CHUNK):
+        lines = _lines(_rows(table[start:start + CHUNK]), fmt)
+        handle.write((separator if start else "") + separator.join(lines))
+    handle.write(tail)

@@ -515,6 +515,13 @@ def test_config_choice_outside_flag_choices_exits_two(tmp_path, capsys, command,
     assert repr(key) in err and "'xml'" in err
 
 
+# A child interpreter imports the package under test, not whatever the
+# environment would find (pytest's ``pythonpath`` reaches this process only).
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)}
+
+
 def test_module_entry_point_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "spin_epsilon.cli", "complexity", "--J", "1",
@@ -522,6 +529,7 @@ def test_module_entry_point_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env=PACKAGE_ENV,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["C_mu_bits"] == 1.0
@@ -534,6 +542,7 @@ def test_closed_stdout_pipe_exits_quietly():
         [sys.executable, "-m", "spin_epsilon.cli", "simulate", "--steps", "1000000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=PACKAGE_ENV,
     )
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()

@@ -230,6 +230,14 @@ def test_find_tmax_interior_golden():
     assert not result.boundary and result.unimodal
     assert abs(result.temperature - TMAX_GOLDEN) < 1e-6
     assert abs(result.cq - CQ_AT_TMAX_GOLDEN) < 1e-9
+    # A tolerance below the float spacing at T_max must still return: the
+    # bracket stops at a few ulps, on the maximum inside the golden's bracket.
+    fine = find_tmax(1.0, 0.3, (0.05, 100.0), 1e-300)
+    assert not fine.boundary and fine.unimodal
+    assert abs(fine.temperature - TMAX_GOLDEN) < 1e-4
+    assert fine.cq >= result.cq
+    nearby = complexity(1.0, 0.3, fine.temperature + np.array([-1e-6, 1e-6])).c_q
+    assert np.all(nearby < fine.cq)
     edge_low = quantum_statistical_complexity(model_for(1.0, 0.3, 0.05))
     edge_high = quantum_statistical_complexity(model_for(1.0, 0.3, 100.0))
     assert result.cq >= edge_low and result.cq >= edge_high

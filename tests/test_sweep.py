@@ -12,12 +12,12 @@ import spin_epsilon.sweep as sweep_mod
 from spin_epsilon.distribution import format_float
 from spin_epsilon.quantum import complexity
 from spin_epsilon.sweep import (
-    CSV_CHUNK,
+    CHUNK,
     CSV_HEADER,
     RATIO_FLOOR,
     compute_row,
     run_sweep,
-    sweep_columns,
+    sweep_table,
     temperature_grid,
     write_sweep,
 )
@@ -39,7 +39,7 @@ ROW_GOLDEN = {
 
 def written(J, B, grid, fmt="csv"):
     handle = io.StringIO()
-    write_sweep(handle, sweep_columns(J, B, grid), fmt)
+    write_sweep(handle, sweep_table(J, B, grid), fmt)
     return handle.getvalue()
 
 
@@ -200,14 +200,12 @@ MIXED, NUMERIC, BLANK = {True, False}, {False}, {True}
     [(1.0, 0.3, MIXED), (-1.0, 0.5, NUMERIC), (0.0, 0.0, BLANK), (0.0, 1.0, BLANK),
      (1.0, 3.0, MIXED)],
 )
-@pytest.mark.parametrize("points", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+@pytest.mark.parametrize("points", [CHUNK - 1, CHUNK, CHUNK + 1])
 def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank, points):
     grid = temperature_grid(0.05, 100.0, points, "log")
     rows = reference_rows(J, B, grid)
     assert {row[-1] is None for row in rows} == blank
-    expected = {"csv": reference_csv(rows)}
-    if points == CSV_CHUNK + 1:  # only CSV is written in chunks
-        expected["json"] = reference_json(rows)
+    expected = {"csv": reference_csv(rows), "json": reference_json(rows)}
     for fmt, text in expected.items():
         out_path = tmp_path / f"sweep.{fmt}"
         assert cli.main([
