@@ -9,15 +9,17 @@ and is equivalent to building the full entangled chain and measuring at the
 end.
 
 The enumeration walks every measurement branch with exact amplitudes, one
-array layer per depth (weights, memory vectors and packed histories of all
-branches), which keeps the full depth ``MAX_DEPTH`` = 20 (about a million
-branches) practical.  The memory is always the collapsed ancilla
-amplitude, renormalized, never set to the expected state directly:
-synchronization with the encoding is what ``assert_synchronization`` checks.
-The sampler walks a single seeded branch in one scan shared with the
-classical sampler.  All state vectors are real: the
-canonical amplitude gauge never produces a complex phase.  Branch enumeration
-is read-only over shared inputs; the sampler owns its RNG.
+array layer per depth (weights, memory vectors, packed histories and run
+indices of all branches), which keeps the full depth ``MAX_DEPTH`` = 20
+(about a million branches) practical.  Unitaries with leading axes stack
+independent draws; one walk then covers every run, one (draw, start) pair
+each, in one flat layer, and the enumeration results come back per draw.
+The memory is always the collapsed ancilla amplitude, renormalized, never
+set to the expected state directly: synchronization with the encoding is
+what ``assert_synchronization`` checks.  The sampler walks a single seeded
+branch in one scan shared with the classical sampler.  All state vectors are
+real: the canonical amplitude gauge never produces a complex phase.  Branch
+enumeration is read-only over shared inputs; the sampler owns its RNG.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class StepUnitaries:
 
     ``v`` maps |0> to the first memory state, ``u`` maps the first memory
     state to the second; ``theta0``/``theta1`` are the state angles with
-    |s_i> = (cos theta_i, sin theta_i).
+    |s_i> = (cos theta_i, sin theta_i).  Leading axes stack independent
+    draws: ``v`` and ``u`` are ``(..., 2, 2)``, the angles ``(...)`` arrays.
     """
 
     v: np.ndarray
@@ -68,11 +71,11 @@ class StepUnitaries:
     theta1: float
 
     def causal_state(self, index: int) -> np.ndarray:
-        """Memory state vector |s_index>."""
+        """Memory state vector |s_index>, shape ``(..., 2)``."""
         if index not in (0, 1):
             raise ValueError(f"index must be 0 or 1, got {index}")
         state = self.v @ _KET0
-        return state if index == 0 else self.u @ state
+        return state if index == 0 else (self.u @ state[..., None])[..., 0]
 
 
 def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
@@ -93,18 +96,23 @@ class BranchLayer:
     """Every measurement branch at one depth, as parallel arrays.
 
     Row i is one branch: ``weight[i]**2`` is the probability of the emitted
-    prefix ``history[i]`` (first symbol in the most significant bit) and
-    ``memory[i]`` is its memory vector.  The memory register is one qubit by
+    prefix ``history[i]`` (first symbol in the most significant bit) within
+    run ``run[i]``, and ``memory[i]`` is its memory vector.  Each run's
+    branches are contiguous and the runs come in order; ``run`` defaults to
+    all zeros, a single run.  The memory register is one qubit by
     construction; the shape check keeps that structural.
     """
 
     weight: np.ndarray
     memory: np.ndarray
     history: np.ndarray
+    run: np.ndarray | None = None
 
     def __post_init__(self):
         if self.memory.shape != (len(self.weight), 2):
             raise ValueError("memory register must stay a single qubit")
+        if self.run is None:
+            object.__setattr__(self, "run", np.zeros(len(self.weight), dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -117,47 +125,69 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     joint amplitudes over (emitted qubit, ancilla) is the ancilla vector
     paired with emitted outcome k, and the outcome probabilities are the
     squared row norms.  Zero-probability outcomes are dropped; the survivors
-    keep branch-major, outcome-minor order.  Squared branch weights sum to one
-    at every depth (checked).
+    keep branch-major, outcome-minor order.  With leading axes on ``su``,
+    each draw is one run from ``start``, numbered in C order.  Every run's
+    squared branch weights sum to one at every depth (checked exactly).
     """
     ancilla = su.v @ _KET0
-    turned = su.u @ ancilla
+    turned = (su.u @ ancilla[..., None])[..., 0]
+    # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
+    pair = np.stack([ancilla, turned], axis=-2).reshape(-1, 2, 2)
+    runs = len(pair)
     layer = BranchLayer(
-        np.ones(1), su.causal_state(start)[None, :], np.zeros(1, dtype=np.int64)
+        np.ones(runs),
+        su.causal_state(start).reshape(-1, 2),
+        np.zeros(runs, dtype=np.int64),
+        np.arange(runs),
     )
-    for depth in range(length):
+    counts = np.ones(runs, dtype=np.intp)
+    for depth in range(1, length + 1):
+        # joint[i, k, j] = memory[i, k] * pair[run i, k, j], built column by
+        # column so that every inner loop runs over branches.
         joint = np.empty((len(layer), 2, 2))
-        joint[:, 0] = layer.memory[:, :1] * ancilla
-        joint[:, 1] = layer.memory[:, 1:] * turned
-        probs = np.sum(joint * joint, axis=2).ravel()
+        for k, j in np.ndindex(2, 2):
+            np.multiply(layer.memory[:, k], np.repeat(pair[:, k, j], counts), out=joint[:, k, j])
+        squares = joint * joint
+        probs = (squares[..., 0] + squares[..., 1]).ravel()
         kept = np.flatnonzero(probs)
         parent, outcome = kept >> 1, kept & 1
         root = np.sqrt(probs[kept])
+        memory = np.empty((kept.size, 2))
+        for j in (0, 1):
+            np.divide(joint.reshape(-1, 2)[kept, j], root, out=memory[:, j])
         layer = BranchLayer(
             weight=layer.weight[parent] * root,
-            memory=joint.reshape(-1, 2)[kept] / root[:, None],
+            memory=memory,
             history=(layer.history[parent] << 1) | outcome,
+            run=layer.run[parent],
         )
-        total = math.fsum(layer.weight * layer.weight)
-        if abs(total - 1.0) > 1e-12:
-            raise RuntimeError(
-                f"branch weights lost normalization at depth {depth + 1}: "
-                f"sum of squares = {total!r}"
-            )
+        bounds = np.searchsorted(layer.run, np.arange(runs + 1))
+        counts = np.diff(bounds)
+        # fsum reads a memoryview as Python floats, twice as fast as an array.
+        norms = memoryview(layer.weight * layer.weight)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            total = math.fsum(norms[lo:hi])
+            if abs(total - 1.0) > 1e-12:
+                raise RuntimeError(
+                    f"branch weights lost normalization at depth {depth}: "
+                    f"sum of squares = {total!r}"
+                )
         yield layer
 
 
 def exact_output_distribution(
     su: StepUnitaries, start: int, length: int
 ) -> FutureDistribution:
-    """Exact Born-rule distribution over the 2**length measurement records."""
+    """Exact Born-rule distribution over the 2**length measurement records,
+    one table per draw when ``su`` has leading axes."""
     if not 1 <= length <= MAX_DEPTH:
         raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
-    probs = np.zeros(2**length)
-    probs[layer.history] = layer.weight**2
-    return FutureDistribution(length, probs)
+    batch = np.shape(su.theta0)
+    probs = np.zeros((math.prod(batch), 2**length))
+    probs[layer.run, layer.history] = layer.weight**2
+    return FutureDistribution(length, probs.reshape(*batch, -1))
 
 
 @dataclass(frozen=True)
@@ -180,25 +210,35 @@ class SyncReport:
 
 def assert_synchronization(
     su: StepUnitaries, model: QuantumModel, length: int, tol: float = 1e-12
-) -> SyncReport:
+) -> SyncReport | list[SyncReport]:
     """Check every branch's memory equals the emitted symbol's memory state.
 
     Comparison is up to global sign via | |<memory|s_j>| - 1 | <= tol, for
-    every branch at every depth up to ``length``.
+    every branch at every depth up to ``length``.  Returns one
+    :class:`SyncReport`; with leading draw axes on ``su`` and ``model``, a
+    list of them, one per draw in C order.
     """
     if not 1 <= length <= MAX_DEPTH:
         raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
-    worst = 0.0
-    first = None
+    amp = model.amp.reshape(-1, 2, 2)
+    worst = np.zeros(len(amp))
+    first = [None] * len(amp)
     for start in (0, 1):
         for depth, layer in enumerate(branch_layers(su, start, length), start=1):
-            expected = model.amp[layer.history & 1]
+            expected = amp[layer.run, layer.history & 1]
             deviation = np.abs(np.abs(np.sum(layer.memory * expected, axis=1)) - 1.0)
-            worst = max(worst, float(deviation.max()))
+            np.maximum.at(worst, layer.run, deviation)
             failing = np.flatnonzero(deviation > tol)
-            if failing.size and first is None:
-                first = (depth, symbol_string(int(layer.history[failing[0]]), depth))
-    return SyncReport(passed=first is None, max_deviation=worst, first_failure=first)
+            # The first failing branch of each run that has one.
+            runs, at = np.unique(layer.run[failing], return_index=True)
+            for run, branch in zip(runs.tolist(), failing[at].tolist()):
+                if first[run] is None:
+                    first[run] = (depth, symbol_string(int(layer.history[branch]), depth))
+    reports = [
+        SyncReport(passed=f is None, max_deviation=w, first_failure=f)
+        for w, f in zip(worst.tolist(), first)
+    ]
+    return reports if model.amp.ndim > 2 else reports[0]
 
 
 def sample_quantum_trajectory(

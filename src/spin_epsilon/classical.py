@@ -59,7 +59,9 @@ def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.
 
     No sampling: each table is the previous one doubled by unifilar
     expansion, a product of t entries, with the first emitted symbol in the
-    most significant index bit.  Arguments are checked when iteration starts.
+    most significant index bit.  Leading axes of ``tm`` (stacked draws) carry
+    through: each table has shape ``tm.t.shape[:-2] + (2**L,)``.  Arguments
+    are checked when iteration starts.
     """
     if start not in (0, 1):
         raise ValueError(f"start must be 0 or 1, got {start}")
@@ -67,11 +69,19 @@ def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.
         raise ValueError(
             f"length must be in [1, {MAX_TABLE_LENGTH}], got {length}"
         )
-    probs = np.ones(1)
-    states = np.array([start])
-    for _ in range(length):
-        probs = (probs[:, None] * tm.t[states]).reshape(-1)
-        states = np.tile(np.array([0, 1]), states.size)
+    t = tm.t
+    lead = t.shape[:-2]
+    probs = t[..., start, :].copy()
+    yield probs
+    for _ in range(length - 1):
+        # Entry 2k + s ends in symbol s, so it continues with row t[s]: a
+        # broadcast product, one strided multiply per (s, j) so that the
+        # inner loops run over k rather than over the two entries of a row.
+        pairs = probs.reshape(*lead, -1, 2)
+        probs = np.empty(pairs.shape + (2,))
+        for s, j in np.ndindex(2, 2):
+            np.multiply(pairs[..., s], t[..., None, s, j], out=probs[..., s, j])
+        probs = probs.reshape(*lead, -1)
         yield probs
 
 

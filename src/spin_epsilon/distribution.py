@@ -61,13 +61,15 @@ class FutureDistribution:
     Table index encodes the string most-significant-bit first: bit k of the
     index (counting down from the top) is the symbol index of step k+1, so
     index 0 is the all-(+1) string and index 2**length - 1 is all-(-1).
+    ``probs`` may carry leading axes, one table per stacked draw, with the
+    string index last.
     """
 
     length: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.probs.shape != (2**self.length,):
+        if self.probs.shape[-1:] != (2**self.length,):
             raise ValueError(
                 f"expected {2**self.length} entries for length {self.length}, "
                 f"got shape {self.probs.shape}"
@@ -90,10 +92,11 @@ class FutureDistribution:
         """Sum out the final symbol, giving the length-(L-1) table."""
         if self.length < 2:
             raise ValueError("nothing left to marginalize below length 2")
-        return FutureDistribution(self.length - 1, self.probs.reshape(-1, 2).sum(axis=1))
+        pairs = self.probs.reshape(*self.probs.shape[:-1], -1, 2)
+        return FutureDistribution(self.length - 1, pairs.sum(axis=-1))
 
     def to_csv(self) -> str:
-        """CSV dump with header ``string,probability``."""
+        """CSV dump of one table, with header ``string,probability``."""
         out = io.StringIO()
         out.write("string,probability\n")
         for i, prob in enumerate(self.probs):

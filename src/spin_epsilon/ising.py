@@ -84,11 +84,19 @@ class TransitionMatrix:
     ``t[i, j]`` is the probability that the spin following a spin in state
     (-1)**i is in state (-1)**j; ``p`` is the left fixed point of ``t``
     (p @ t == p, p.sum() == 1).  Entries are strictly inside (0, 1) for any
-    finite positive temperature.
+    finite positive temperature.  Leading axes stack independent matrices:
+    ``t`` has shape ``(..., 2, 2)`` and ``p`` shape ``(..., 2)``.
     """
 
     t: np.ndarray
     p: np.ndarray
+
+    def __post_init__(self):
+        if self.t.shape[-2:] != (2, 2) or self.p.shape != self.t.shape[:-1]:
+            raise ValueError(
+                f"expected t of shape (..., 2, 2) and p of shape (..., 2), "
+                f"got {self.t.shape} and {self.p.shape}"
+            )
 
 
 def transition_matrix(params: IsingParams) -> TransitionMatrix:

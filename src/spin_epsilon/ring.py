@@ -50,20 +50,29 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     """Boltzmann-weighted table over all configurations of a (2*n_half+1)-ring.
 
     H(c) = sum_k (-J * x_k * x_{k+1} - B * x_k) with indices mod the ring size.
+    The energy depends only on two popcounts, the broken bonds and the down
+    spins, so each configuration looks its weight up in an (m+1)x(m+1)
+    table over those classes; the max shift runs over the classes that occur.
     """
-    if not 1 <= n_half <= MAX_N_HALF:
-        raise ValueError(f"n_half must be in [1, {MAX_N_HALF}], got {n_half}")
-    m = 2 * n_half + 1
-    configs = np.arange(2**m, dtype=np.uint64)
-    rotated = (configs >> np.uint64(1)) | ((configs & np.uint64(1)) << np.uint64(m - 1))
+    if not (isinstance(n_half, (int, np.integer)) and 1 <= n_half <= MAX_N_HALF):
+        raise ValueError(f"n_half must be an integer in [1, {MAX_N_HALF}], got {n_half!r}")
+    m = 2 * int(n_half) + 1
+    configs = np.arange(2**m, dtype=np.uint32)
+    rotated = (configs >> 1) | ((configs & 1) << (m - 1))
     # x_k * x_{k+1} = 1 - 2 * (bit_k XOR bit_{k+1}); sum over k via popcount.
-    bond_sum = m - 2.0 * np.bitwise_count(configs ^ rotated)
-    spin_sum = m - 2.0 * np.bitwise_count(configs)
+    broken = np.bitwise_count(configs ^ rotated)
+    downs = np.bitwise_count(configs)
+    k, d = np.ogrid[: m + 1, : m + 1]  # k broken bonds, d down spins
+    bond_sum = m - 2.0 * k
+    spin_sum = m - 2.0 * d
     log_w = params.beta * (params.J * bond_sum + params.B * spin_sum)
-    log_w -= log_w.max()
-    probs = np.exp(log_w)
+    # A ring breaks an even number k of bonds.  With k > 0 it splits into k/2
+    # runs of down spins and k/2 runs of up spins, each at least one spin
+    # long; with k = 0 all spins agree.
+    occurs = (k % 2 == 0) & (np.minimum(d, m - d) >= k // 2) & ((k > 0) | (d % m == 0))
+    probs = np.exp(log_w - log_w[occurs].max())[broken, downs]
     probs /= probs.sum()
-    return RingEnsemble(n_half=n_half, params=params, probs=probs)
+    return RingEnsemble(n_half=int(n_half), params=params, probs=probs)
 
 
 def site_marginals(ens: RingEnsemble) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -242,3 +243,39 @@ def test_sample_rejects_negative_steps():
         sample_quantum_trajectory(su, 0, -1, seed=0)
     with pytest.raises(ValueError, match="start must be 0 or 1"):
         sample_quantum_trajectory(su, 2, 5, seed=0)
+
+
+def stacked(items):
+    """One instance with every field of the items stacked on a leading axis."""
+    cls = type(items[0])
+    return cls(**{f.name: np.stack([getattr(x, f.name) for x in items]) for f in fields(cls)})
+
+
+def test_stacked_runs_bit_identical_to_per_draw_calls():
+    rng = np.random.default_rng(67)
+    params = [draw_params(rng) for _ in range(60)]
+    params += [IsingParams(1.0, 0.0, math.inf), IsingParams(3.0, 0.0, 0.05)]
+    models = [build_quantum_model(transition_matrix(p)) for p in params]
+    models.append(QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5])))  # drops outcomes
+    sus = [build_step_unitaries(m) for m in models]
+    su, model = stacked(sus), stacked(models)
+    for start in (0, 1):
+        for length in (1, 6):
+            table = exact_output_distribution(su, start, length).probs
+            assert table.shape == (len(sus), 2**length)
+            singles = [exact_output_distribution(one, start, length).probs for one in sus]
+            assert table.tobytes() == np.stack(singles).tobytes()
+        # Each run's branches in the flat layer are that draw's own layer.
+        walks = [branch_layers(one, start, 5) for one in sus]
+        for layer, *singles in zip(branch_layers(su, start, 5), *walks):
+            runs = [r for r, one in enumerate(singles) for _ in range(len(one))]
+            assert layer.run.tolist() == runs
+            for field in ("weight", "memory", "history"):
+                expected = np.concatenate([getattr(one, field) for one in singles])
+                assert getattr(layer, field).tobytes() == expected.tobytes()
+    # Memories checked against a wrong encoding from some draws on.
+    wrong = [m if k % 3 else QuantumModel(np.eye(2), m.weights) for k, m in enumerate(models)]
+    for model_set in (models, wrong):
+        reports = assert_synchronization(su, stacked(model_set), 4)
+        assert reports == [assert_synchronization(s, m, 4) for s, m in zip(sus, model_set)]
+    assert not all(r.passed for r in reports)

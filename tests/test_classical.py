@@ -18,6 +18,7 @@ from spin_epsilon import (
     symbols_to_line,
     transition_matrix,
 )
+from spin_epsilon.classical import future_tables
 from spin_epsilon.verify import draw_params
 
 
@@ -254,3 +255,45 @@ def test_machine_rejects_bad_state():
     machine = EpsilonMachine(tm)
     with pytest.raises(ValueError):
         machine.run(-1)
+
+
+def reference_future_tables(tm, start, length):
+    """The gather-and-tile expansion: each entry's next row read by its last state."""
+    probs = np.ones(1)
+    states = np.array([start])
+    for _ in range(length):
+        probs = (probs[:, None] * tm.t[states]).reshape(-1)
+        states = np.tile(np.array([0, 1]), states.size)
+        yield probs
+
+
+def test_stacked_future_tables_bit_identical_to_per_draw():
+    rng = np.random.default_rng(29)
+    params = [draw_params(rng) for _ in range(40)] + [IsingParams(1.0, 0.3, math.inf)]
+    tms = [transition_matrix(p) for p in params]
+    stacked = TransitionMatrix(t=np.stack([tm.t for tm in tms]), p=np.stack([tm.p for tm in tms]))
+    for start in (0, 1):
+        layers = zip(
+            future_tables(stacked, start, 12),
+            *(reference_future_tables(tm, start, 12) for tm in tms),
+        )
+        for length, (table, *references) in enumerate(layers, start=1):
+            assert table.shape == (len(tms), 2**length)
+            assert table.tobytes() == np.stack(references).tobytes()
+        for length in (1, 7):
+            single = [future_distribution(tm, start, length).probs for tm in tms]
+            assert future_distribution(stacked, start, length).probs.tobytes() == (
+                np.stack(single).tobytes()
+            )
+
+
+def test_stacked_shapes_are_checked():
+    with pytest.raises(ValueError, match="shape"):
+        tm_literal([[0.5, 0.5]], [1.0])
+    with pytest.raises(ValueError, match="shape"):
+        TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full(2, 0.5))
+    table = future_distribution(
+        TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full((3, 2), 0.5)), 0, 3
+    )
+    assert table.probs.shape == (3, 8)
+    assert table.marginalize_last().probs.shape == (3, 4)

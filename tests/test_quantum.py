@@ -7,6 +7,7 @@ import pytest
 from spin_epsilon import (
     IsingParams,
     QuantumModel,
+    TransitionMatrix,
     build_quantum_model,
     classical_fidelity,
     complexity,
@@ -164,12 +165,20 @@ def test_saturation_fidelities_come_from_one_expansion_per_start(monkeypatch):
 
     monkeypatch.setattr(quantum, "future_tables", counted)
     rng = np.random.default_rng(11)
+    tms, reports = [], []
     for _ in range(40):
         tm = transition_matrix(draw_params(rng))
         expansions.clear()
         report = fidelity_saturation_check(tm, build_quantum_model(tm), 12)
         assert sorted(expansions) == [0, 1]
         assert report.fidelities == tuple(classical_fidelity(tm, n) for n in range(1, 13))
+        tms.append(tm)
+        reports.append(report)
+    # Stacked draws: still one expansion per start, and the same reports.
+    expansions.clear()
+    stacked = TransitionMatrix(t=np.stack([tm.t for tm in tms]), p=np.stack([tm.p for tm in tms]))
+    assert fidelity_saturation_check(stacked, build_quantum_model(stacked), 12) == reports
+    assert sorted(expansions) == [0, 1]
 
 
 def test_saturation_check_catches_sign_flip():

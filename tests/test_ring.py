@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,36 @@ def test_window_guards():
         conditional_from_ring(ens, 0, 2)
     with pytest.raises(ValueError):
         markov_gap(ens, 4)
+
+
+def test_non_integral_ring_size_rejected():
+    # 2.5 would make a 6-spin ring, an even ring the 2*n_half + 1 design excludes.
+    with pytest.raises(ValueError, match="n_half must be an integer.*2.5"):
+        enumerate_ring(IsingParams(1.0, 0.3, 2.0), 2.5)
+    assert enumerate_ring(IsingParams(1.0, 0.3, 2.0), np.int64(2)).size == 5
+
+
+def reference_ring_probs(params, n_half):
+    """Per-configuration Boltzmann weights: each configuration's own bond and
+    spin sums, log-weight and exponential, max-shifted over all of them."""
+    m = 2 * n_half + 1
+    configs = np.arange(2**m, dtype=np.uint64)
+    rotated = (configs >> np.uint64(1)) | ((configs & np.uint64(1)) << np.uint64(m - 1))
+    bond_sum = m - 2.0 * np.bitwise_count(configs ^ rotated)
+    spin_sum = m - 2.0 * np.bitwise_count(configs)
+    log_w = params.beta * (params.J * bond_sum + params.B * spin_sum)
+    log_w -= log_w.max()
+    probs = np.exp(log_w)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("n_half", [1, 3, 10])
+@pytest.mark.parametrize(
+    "J, B, T",
+    [(1.0, 0.3, math.inf), (3.0, 0.0, 0.05), (-3.0, 0.0, 0.05), (-3.0, 0.4, 0.05),
+     (1.0, 0.0, 1.0), (0.7, -0.4, 2.5), (0.0, 1.3, 0.2)],
+)
+def test_energy_class_weights_bit_identical_to_per_configuration(J, B, T, n_half):
+    params = IsingParams(J, B, T)
+    ens = enumerate_ring(params, n_half)
+    assert ens.probs.tobytes() == reference_ring_probs(params, n_half).tobytes()

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import spin_epsilon.circuit as circuit
 import spin_epsilon.verify as verify
-from spin_epsilon import QuantumModel, mixture_eigenvalues
+from spin_epsilon import FutureDistribution, QuantumModel, mixture_eigenvalues
 from spin_epsilon.verify import (
     CheckResult,
     check_circuit_agreement,
@@ -141,3 +144,144 @@ def test_entropy_monotonicity_matches_cell_by_cell_loop(monkeypatch, grid_points
     assert check_entropy_monotonicity(grid_points) == reference_entropy_monotonicity(
         grid_points
     )
+
+
+def reference_fidelity_saturation(
+    seed, draws, max_length, model_builder=verify.build_quantum_model
+):
+    """The draw-by-draw loop: one transition matrix, model and check per draw."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        params = draw_params(rng)
+        tm = verify.transition_matrix(params)
+        report = verify.fidelity_saturation_check(tm, model_builder(tm), max_length)
+        worst = max(worst, report.max_gap)
+        if not report.passed:
+            return CheckResult(
+                "fidelity-saturation",
+                False,
+                f"first counterexample at (J={params.J}, B={params.B}, "
+                f"T={params.T}): {report}",
+            )
+    return CheckResult(
+        "fidelity-saturation",
+        True,
+        f"{draws} draws, max |overlap - fidelity| = {worst:.3g}",
+    )
+
+
+def reference_circuit_agreement(seed, draws, length, sync_draws, sync_depth):
+    """The draw-by-draw loop: one circuit walk and one table per draw and start."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        params = draw_params(rng)
+        tm = verify.transition_matrix(params)
+        su = verify.build_step_unitaries(verify.build_quantum_model(tm))
+        for start in (0, 1):
+            delta = float(
+                np.max(
+                    np.abs(
+                        verify.exact_output_distribution(su, start, length).probs
+                        - verify.future_distribution(tm, start, length).probs
+                    )
+                )
+            )
+            worst = max(worst, delta)
+            if delta > 1e-12:
+                return CheckResult(
+                    "circuit-agreement",
+                    False,
+                    f"first counterexample at (J={params.J}, B={params.B}, "
+                    f"T={params.T}), start={start}: max entry gap {delta:.3g}",
+                )
+    for _ in range(sync_draws):
+        params = draw_params(rng)
+        tm = verify.transition_matrix(params)
+        model = verify.build_quantum_model(tm)
+        su = verify.build_step_unitaries(model)
+        report = verify.assert_synchronization(su, model, sync_depth)
+        if not report.passed:
+            return CheckResult(
+                "circuit-agreement",
+                False,
+                f"first counterexample at (J={params.J}, B={params.B}, "
+                f"T={params.T}): {report}",
+            )
+    return CheckResult(
+        "circuit-agreement",
+        True,
+        f"{draws} distribution draws at L={length} (max gap {worst:.3g}), "
+        f"{sync_draws} synchronization draws at depth {sync_depth}",
+    )
+
+
+def _sign_flipped_builder(tm):
+    amp = np.sqrt(tm.t)
+    amp[0, 1] = -amp[0, 1]
+    return QuantumModel(amp=amp, weights=tm.p.copy())
+
+
+def _flip_where_cold(tm):
+    # Only draws with a strongly biased first row break the bound, so the
+    # first failure is not the first draw.
+    model = verify.build_quantum_model(tm)
+    return _sign_flipped_builder(tm) if tm.t[0, 0] > 0.9 else model
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 123])
+@pytest.mark.parametrize("draws, max_length", [(1, 3), (31, 6), (33, 8), (100, 12)])
+@pytest.mark.parametrize("builder", [None, _sign_flipped_builder, _flip_where_cold])
+def test_fidelity_saturation_matches_draw_by_draw_loop(seed, draws, max_length, builder):
+    kwargs = {} if builder is None else {"model_builder": builder}
+    assert check_fidelity_saturation(seed, draws, max_length, **kwargs) == (
+        reference_fidelity_saturation(seed, draws, max_length, **kwargs)
+    )
+
+
+def _desynchronizing_u(su):
+    # Past a first-state angle of 0.9 rad, U overshoots the second memory
+    # state by 1e-5 rad: the output tables and the post-measurement memories
+    # (off by ~5e-11) both leave the encoding.  Works on one draw and on
+    # stacked draws.
+    theta0, theta1 = np.asarray(su.theta0), np.asarray(su.theta1)
+    angle = theta1 - theta0 + 1e-5 * (theta0 > 0.9)
+    c, s = np.cos(angle), np.sin(angle)
+    u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return dataclasses.replace(su, u=u)
+
+
+def _shifted_table(su, start, length):
+    # Moves 1e-9 of probability between the first two records of every draw
+    # whose first-state angle passes 0.9 rad: only the table gap sees it.
+    table = circuit.exact_output_distribution(su, start, length)
+    shift = np.zeros(table.probs.shape)
+    shift[..., 0], shift[..., 1] = 1e-9, -1e-9
+    shift *= (np.asarray(su.theta0) > 0.9)[..., None]
+    return FutureDistribution(length, table.probs + shift)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 123])
+@pytest.mark.parametrize(
+    "draws, length, sync_draws, sync_depth",
+    [(1, 1, 1, 1), (0, 4, 70, 5), (40, 5, 40, 3), (100, 10, 200, 6)],
+)
+@pytest.mark.parametrize("fault", [None, "u", "table"])
+def test_circuit_agreement_matches_draw_by_draw_loop(
+    monkeypatch, seed, draws, length, sync_draws, sync_depth, fault
+):
+    if fault == "u":
+        build = verify.build_step_unitaries
+        monkeypatch.setattr(verify, "build_step_unitaries", lambda m: _desynchronizing_u(build(m)))
+    elif fault == "table":
+        monkeypatch.setattr(verify, "exact_output_distribution", _shifted_table)
+    args = (seed, draws, length, sync_draws, sync_depth)
+    result = check_circuit_agreement(*args)
+    assert result == reference_circuit_agreement(*args)
+    if fault == "u" and draws + sync_draws >= 70 or fault == "table" and draws >= 40:
+        # Both messages are reached: the table gap whenever there are table
+        # draws, the memory desynchronization when only U is off.
+        assert not result.passed
+        reached = "desynchronized" if draws == 0 else "max entry gap"
+        assert reached in result.detail
