@@ -49,10 +49,9 @@ MAX_DEPTH = 20
 
 _KET0 = np.array([1.0, 0.0])
 
-
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+# math's functions elementwise: np.arctan2 can differ from math.atan2 by an
+# ulp, and the angles of stacked draws must equal those of single draws.
+_atan2, _cos, _sin = (np.vectorize(f, otypes=[float]) for f in (math.atan2, math.cos, math.sin))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +66,8 @@ class StepUnitaries:
 
     v: np.ndarray
     u: np.ndarray
-    theta0: float
-    theta1: float
+    theta0: float | np.ndarray
+    theta1: float | np.ndarray
 
     def causal_state(self, index: int) -> np.ndarray:
         """Memory state vector |s_index>, shape ``(..., 2)``."""
@@ -79,16 +78,17 @@ class StepUnitaries:
 
 
 def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
-    """Planar rotations realizing the model's two memory states.
+    """Planar rotations realizing the model's two memory states, stacked
+    like the model's leading axes (numpy float angles for a single model).
 
     Only the action of U on |s0> is ever used, so the rotation by
     (theta1 - theta0) is a sufficient completion.
     """
-    theta0 = math.atan2(model.amp[0, 1], model.amp[0, 0])
-    theta1 = math.atan2(model.amp[1, 1], model.amp[1, 0])
-    return StepUnitaries(
-        v=_rotation(theta0), u=_rotation(theta1 - theta0), theta0=theta0, theta1=theta1
-    )
+    theta0, theta1 = np.moveaxis(_atan2(model.amp[..., 1], model.amp[..., 0]), -1, 0)
+    # Rotations by theta0 (v) and theta1 - theta0 (u), shape (..., 2, 2) each.
+    c, s = _cos([theta0, theta1 - theta0]), _sin([theta0, theta1 - theta0])
+    v, u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return StepUnitaries(v=v, u=u, theta0=theta0, theta1=theta1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,15 +79,6 @@ class FutureDistribution:
         """Render table index as a symbol string such as '+-+'."""
         return symbol_string(index, self.length)
 
-    def index(self, string: str) -> int:
-        """Inverse of :meth:`string`."""
-        if len(string) != self.length:
-            raise ValueError(f"expected a length-{self.length} string")
-        idx = 0
-        for ch in string:
-            idx = (idx << 1) | SYMBOL_CHARS.index(ch)
-        return idx
-
     def marginalize_last(self) -> "FutureDistribution":
         """Sum out the final symbol, giving the length-(L-1) table."""
         if self.length < 2:

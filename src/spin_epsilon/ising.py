@@ -14,8 +14,8 @@ in state s(i) is in state s(j) is
 
 and the stationary weight of either spin state is p[i] = v[i]**2 / sum(v**2).
 
-:func:`transition_arrays` evaluates this for a scalar or an array of T.  All
-functions here are pure functions of value inputs.
+:func:`transition_arrays` evaluates this over the broadcast shape of scalar
+or array J, B and T.  All functions here are pure functions of value inputs.
 """
 
 from __future__ import annotations
@@ -29,22 +29,30 @@ import numpy as np
 __all__ = ["IsingParams", "TransitionMatrix", "transition_matrix", "transition_arrays"]
 
 
-def _validate(J: float, B: float, T: np.ndarray) -> None:
-    if not (math.isfinite(J) and math.isfinite(B)):
+def _validate(J, B, T) -> None:
+    """Name the first bad point in C order: a non-finite J or B before any bad T."""
+    # Above max(|J| + |B|, 1) / (M/4), M the largest double, 1/T and every
+    # Boltzmann exponent stay below M/4.  Halving both sides keeps that floor
+    # bit for bit without overflow (half > M/2 means |J| + |B| > M), and NaN
+    # or infinite J or B fail it too; the message waits for a failure.
+    M, half = sys.float_info.max, 0.5 * abs(J) + 0.5 * abs(B)
+    ok = (T > half / (M / 8)) & (T > 1.0 / (M / 4)) & (half <= M / 2)
+    if ok.all():
+        return
+    J, B, T, ok = np.broadcast_arrays(J, B, T, ok)
+    finite = np.isfinite(J) & np.isfinite(B)
+    i = np.argmin(finite if not finite.all() else ok)  # flat index of the first False
+    J, B, first = float(J.flat[i]), float(B.flat[i]), float(T.flat[i])
+    if not finite.flat[i]:
         raise ValueError(f"J and B must be finite, got J={J}, B={B}")
-    # Above this T, 1/T and every Boltzmann exponent stay below a quarter of
-    # the largest double, so no overflow (or inf - inf) reaches the exponents.
-    t_floor = max(abs(J) + abs(B), 1.0) / (sys.float_info.max / 4)
-    if not (T > t_floor).all():
-        first = float(T[~(T > t_floor)][0])
-        if math.isnan(first):
-            raise ValueError("T must not be NaN")
-        if first <= 0:
-            raise ValueError(f"T must be strictly positive, got T={first}")
-        raise ValueError(
-            "Boltzmann exponent overflows double precision for these parameters "
-            f"(J={J}, B={B}, T={first})"
-        )
+    if math.isnan(first):
+        raise ValueError("T must not be NaN")
+    if first <= 0:
+        raise ValueError(f"T must be strictly positive, got T={first}")
+    raise ValueError(
+        "Boltzmann exponent overflows double precision for these parameters "
+        f"(J={J}, B={B}, T={first})"
+    )
 
 
 @dataclass(frozen=True)
@@ -62,10 +70,9 @@ class IsingParams:
     T: float
 
     def __post_init__(self):
-        object.__setattr__(self, "J", float(self.J))
-        object.__setattr__(self, "B", float(self.B))
-        object.__setattr__(self, "T", float(self.T))
-        _validate(self.J, self.B, np.asarray(self.T))
+        for name in ("J", "B", "T"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _validate(self.J, self.B, np.float64(self.T))  # numpy verdicts have .all()
 
     @property
     def beta(self) -> float:
@@ -101,20 +108,26 @@ class TransitionMatrix:
 
 def transition_matrix(params: IsingParams) -> TransitionMatrix:
     """Conditional spin probabilities and stationary weights from (J, B, T)."""
-    t, p = transition_arrays(params.J, params.B, params.T)
-    return TransitionMatrix(t=t, p=p)
+    return TransitionMatrix(*_solve(params.J, params.B, params.T))  # validated already
 
 
-def transition_arrays(J: float, B: float, T) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` (shape ``T.shape + (2, 2)``) and ``p`` (``T.shape + (2,)``).
+def transition_arrays(J, B, T) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` (shape ``S + (2, 2)``) and ``p`` (``S + (2,)``), where ``S`` is
+    the broadcast shape of J, B and T.
 
     The 2x2 symmetric transfer matrix is diagonalized by the closed quadratic
     formula, with the Perron eigenvector written in a cancellation-free form
     so the construction stays exact in the deterministic and
-    infinite-temperature limits.
+    infinite-temperature limits.  Rejects the first bad point as :class:`IsingParams` would.
     """
-    J, B, T = float(J), float(B), np.asarray(T, dtype=float)
+    # [()] turns a 0-d array into a numpy scalar, which is cheaper to compute with.
+    J, B, T = (np.asarray(x, dtype=float)[()] for x in (J, B, T))
     _validate(J, B, T)
+    return _solve(J, B, T)
+
+
+def _solve(J, B, T) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`transition_arrays` for valid inputs."""
     beta = 1.0 / T  # exactly 0.0 for the T = inf flag
     e00 = beta * (J + B)
     e11 = beta * (J - B)
@@ -124,9 +137,10 @@ def transition_arrays(J: float, B: float, T) -> tuple[np.ndarray, np.ndarray]:
     d = np.exp(e11 - shift)
     c = np.exp(e01 - shift)
     if (c == 0.0).any():
+        J, B, T = (float(x.flat[np.argmax(c == 0.0)]) for x in np.broadcast_arrays(J, B, T))
         raise ValueError(
             "transfer matrix underflows double precision for these parameters "
-            f"(J={J}, B={B}, T={float(T[c == 0.0][0])})"
+            f"(J={J}, B={B}, T={T})"
         )
 
     half_gap = 0.5 * (a - d)
@@ -140,7 +154,7 @@ def transition_arrays(J: float, B: float, T) -> tuple[np.ndarray, np.ndarray]:
     v0 = np.where(up, 1.0, small)
     v1 = np.where(up, small, 1.0)
 
-    # t[i, j] = V[i, j] * v[j] / (lam * v[i]), moved behind the T axes.
+    # t[i, j] = V[i, j] * v[j] / (lam * v[i]), moved behind the broadcast axes.
     lv0, lv1 = lam * v0, lam * v1
     t = np.array([[a * v0 / lv0, c * v1 / lv0], [c * v0 / lv1, d * v1 / lv1]])
     w0, w1 = v0 * v0, v1 * v1

@@ -106,8 +106,8 @@ def mixture_eigenvalues(weight, overlap):
 
 @dataclass(frozen=True, eq=False)
 class ChainStatistics:
-    """Chain statistics at one (J, B); ``overlap``, ``c_mu`` and ``c_q``
-    (bits) have T's shape, ``t`` and ``p`` add trailing (2, 2) and (2,)."""
+    """Chain statistics over the broadcast shape of (J, B, T): ``overlap``, ``c_mu``
+    and ``c_q`` (bits) have that shape; ``t`` and ``p`` add trailing (2, 2) and (2,)."""
 
     t: np.ndarray
     p: np.ndarray
@@ -116,8 +116,8 @@ class ChainStatistics:
     c_q: np.ndarray
 
 
-def complexity(J: float, B: float, T) -> ChainStatistics:
-    """t, p, memory overlap, C_mu and C_q for a scalar or an array of T.
+def complexity(J, B, T) -> ChainStatistics:
+    """t, p, memory overlap, C_mu and C_q; J, B and T broadcast together.
 
     Where the two rows of t merge, both complexities are exactly 0.
     """

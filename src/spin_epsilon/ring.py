@@ -77,10 +77,13 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
 
 def site_marginals(ens: RingEnsemble) -> np.ndarray:
     """P(spin = +1) at every site (identical across sites by symmetry)."""
-    # Axes (higher sites, site k, lower sites): spin +1 is index 0 of the middle.
-    return np.array(
-        [float(ens.probs.reshape(-1, 2, 2**k)[:, 0].sum()) for k in range(ens.size)]
-    )
+    # The top index bit is the last site left: its spin +1 half is the lower
+    # half of the table, and adding the halves folds that site away.
+    marginals, table = np.empty(ens.size), ens.probs
+    for k in range(ens.size - 1, -1, -1):
+        half = len(table) // 2
+        marginals[k], table = table[:half].sum(), table[:half] + table[half:]
+    return marginals
 
 
 def magnetization(ens: RingEnsemble) -> float:

@@ -14,22 +14,23 @@ the primary one:
 
 Each check builds every reference once: one enumeration per ring size, one
 unifilar expansion per start, one stacked eigensolve over the entropy grid.
-The random-draw checks draw their parameters one at a time, in a fixed RNG
-order, and stack up to ``_BLOCK`` draws on a leading axis, so each block is
-one array pass through the tables, the circuit walk and the fidelity bound;
-a failure names the first failing draw in draw order.  Checks run
+The random-draw checks draw up to ``_BLOCK`` parameter points at a time as
+rows (J, B, T), in a fixed RNG order, and build each block's transition
+matrices, models and unitaries in one broadcast call each, so a block is one
+array pass through the tables, the circuit walk and the fidelity bound; a
+failure names the first failing draw in draw order.  Checks run
 sequentially so reports are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import assert_synchronization, build_step_unitaries, exact_output_distribution
 from .classical import future_distribution
-from .ising import IsingParams, transition_matrix
+from .ising import IsingParams, TransitionMatrix, transition_arrays, transition_matrix
 from .quantum import (
     build_quantum_model,
     fidelity_saturation_check,
@@ -41,16 +42,17 @@ __all__ = ["CheckResult", "draw_params", "run_verification", "VERIFY_LEVELS"]
 
 VERIFY_LEVELS = ("quick", "full")
 
-# Parameter box for random draws: couplings/fields in [-3, 3], temperatures
-# log-uniform over [0.05, 100].
-_J_RANGE = (-3.0, 3.0)
-_B_RANGE = (-3.0, 3.0)
-_T_RANGE = (0.05, 100.0)
+# Parameter box for random draws, as (J, B, log T) bounds: couplings and
+# fields in [-3, 3], temperatures log-uniform over [0.05, 100].
+_LOW = (-3.0, -3.0, np.log(0.05))
+_HIGH = (3.0, 3.0, np.log(100.0))
 
 # Convergence reference points: short correlation length (tight quantitative
 # bounds apply) and long correlation length (decay is checked qualitatively).
 _SHORT_CORR = (1.0, 0.3, 2.0)
 _LONG_CORR = (1.0, 0.0, 1.0)
+
+_COUNTEREXAMPLE = "first counterexample at (J={}, B={}, T={})"
 
 # Draws per stacked call: a block's fidelity tables (up to 2**12 entries a
 # draw) stay in cache, which is faster than one pass over all draws.
@@ -69,30 +71,21 @@ class CheckResult:
 
 def draw_params(rng: np.random.Generator) -> IsingParams:
     """One random parameter point from the verification box."""
-    return IsingParams(
-        J=rng.uniform(*_J_RANGE),
-        B=rng.uniform(*_B_RANGE),
-        T=float(np.exp(rng.uniform(np.log(_T_RANGE[0]), np.log(_T_RANGE[1])))),
-    )
+    return IsingParams(*_draw(rng, 1)[0])
+
+
+def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` box points as rows (J, B, T), in the RNG order of ``n`` draw_params calls."""
+    points = rng.uniform(_LOW, _HIGH, size=(n, 3))
+    points[:, 2] = np.exp(points[:, 2])
+    return points
 
 
 def _draw_blocks(rng: np.random.Generator, draws: int):
-    """Yield ``draws`` parameter draws in order, ``_BLOCK`` at a time, each
-    block with its transition matrices."""
+    """Yield ``draws`` points, ``_BLOCK`` at a time: (rows as floats, their TransitionMatrix)."""
     for lo in range(0, draws, _BLOCK):
-        params = [draw_params(rng) for _ in range(min(_BLOCK, draws - lo))]
-        yield params, [transition_matrix(p) for p in params]
-
-
-def _stack(items):
-    """One instance of the items' dataclass with every field stacked on a
-    new leading draw axis."""
-    cls = type(items[0])
-    return cls(**{f.name: np.stack([getattr(x, f.name) for x in items]) for f in fields(cls)})
-
-
-def _counterexample(params: IsingParams) -> str:
-    return f"first counterexample at (J={params.J}, B={params.B}, T={params.T})"
+        points = _draw(rng, min(_BLOCK, draws - lo))
+        yield points.tolist(), TransitionMatrix(*transition_arrays(*points.T))
 
 
 def check_oracle_convergence(level: str = "quick") -> CheckResult:
@@ -150,18 +143,18 @@ def check_fidelity_saturation(
 ) -> CheckResult:
     """Overlap must equal the classical fidelity bound on every random draw.
 
-    ``model_builder`` maps one draw's transition matrix to its model.
+    ``model_builder`` maps a block's stacked transition matrices to its
+    stacked models.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for params, tms in _draw_blocks(rng, draws):
-        model = _stack([model_builder(tm) for tm in tms])
-        reports = fidelity_saturation_check(_stack(tms), model, max_length)
-        for point, report in zip(params, reports):
+    for points, tm in _draw_blocks(rng, draws):
+        reports = fidelity_saturation_check(tm, model_builder(tm), max_length)
+        for point, report in zip(points, reports):
             worst = max(worst, report.max_gap)
             if not report.passed:
                 return CheckResult(
-                    "fidelity-saturation", False, _counterexample(point) + f": {report}"
+                    "fidelity-saturation", False, _COUNTEREXAMPLE.format(*point) + f": {report}"
                 )
     return CheckResult(
         "fidelity-saturation",
@@ -176,9 +169,8 @@ def check_circuit_agreement(
     """Circuit output must match the unifilar tables; memories must resync."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for params, tms in _draw_blocks(rng, draws):
-        tm = _stack(tms)
-        su = _stack([build_step_unitaries(build_quantum_model(one)) for one in tms])
+    for points, tm in _draw_blocks(rng, draws):
+        su = build_step_unitaries(build_quantum_model(tm))
         # gaps[i, start]: the worst table entry of draw i from that start.
         gaps = np.stack(
             [
@@ -196,18 +188,17 @@ def check_circuit_agreement(
             return CheckResult(
                 "circuit-agreement",
                 False,
-                _counterexample(params[i])
+                _COUNTEREXAMPLE.format(*points[i])
                 + f", start={start}: max entry gap {gaps[i, start]:.3g}",
             )
         worst = max(worst, float(gaps.max()))
-    for params, tms in _draw_blocks(rng, sync_draws):
-        models = [build_quantum_model(tm) for tm in tms]
-        su = _stack([build_step_unitaries(model) for model in models])
-        reports = assert_synchronization(su, _stack(models), sync_depth)
-        for point, report in zip(params, reports):
+    for points, tm in _draw_blocks(rng, sync_draws):
+        model = build_quantum_model(tm)
+        reports = assert_synchronization(build_step_unitaries(model), model, sync_depth)
+        for point, report in zip(points, reports):
             if not report.passed:
                 return CheckResult(
-                    "circuit-agreement", False, _counterexample(point) + f": {report}"
+                    "circuit-agreement", False, _COUNTEREXAMPLE.format(*point) + f": {report}"
                 )
     return CheckResult(
         "circuit-agreement",

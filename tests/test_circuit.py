@@ -279,3 +279,22 @@ def test_stacked_runs_bit_identical_to_per_draw_calls():
         reports = assert_synchronization(su, stacked(model_set), 4)
         assert reports == [assert_synchronization(s, m, 4) for s, m in zip(sus, model_set)]
     assert not all(r.passed for r in reports)
+
+
+def test_stacked_angles_are_math_atan2_where_numpy_differs():
+    # np.arctan2 and math.atan2 disagree by an ulp on some memory states of
+    # these draws; the stacked unitaries keep each draw's math.atan2 angles,
+    # and every field equals the single-draw unitaries bit for bit.
+    rng = np.random.default_rng(0)
+    models = [build_quantum_model(transition_matrix(draw_params(rng))) for _ in range(200)]
+    amp = np.stack([m.amp for m in models])
+    expected = np.array([[math.atan2(a[i, 1], a[i, 0]) for i in (0, 1)] for a in amp])
+    assert (np.arctan2(amp[..., 1], amp[..., 0]) != expected).any(axis=0).all()
+    su = build_step_unitaries(stacked(models))
+    assert su.theta0.tolist() == expected[:, 0].tolist()
+    assert su.theta1.tolist() == expected[:, 1].tolist()
+    singles = [build_step_unitaries(m) for m in models]
+    assert isinstance(singles[0].theta0, float)
+    for field in ("v", "u", "theta0", "theta1"):
+        expected = np.stack([getattr(one, field) for one in singles])
+        assert getattr(su, field).tobytes() == expected.tobytes()

@@ -240,7 +240,6 @@ def test_distribution_string_round_trip_and_csv():
     table = future_distribution(tm, 0, 3)
     assert table.string(0) == "+++"
     assert table.string(5) == "-+-"
-    assert table.index("-+-") == 5
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "string,probability"
     assert len(lines) == 9

@@ -273,6 +273,44 @@ def test_verify_quick_passes(capsys):
     assert lines[-1].endswith("all 4 checks passed")
 
 
+# `verify` stdout per level; the seed sets only the two random-draw numbers.
+VERIFY_LINES = {
+    "quick": (
+        "PASS oracle-convergence: short-corr table errors ['0.0166', '0.00317', '0.000603', "
+        "'0.000114']; long-corr table errors ['0.112', '0.0685', '0.0411', '0.0243']",
+        "PASS fidelity-saturation: 50 draws, max |overlap - fidelity| = {}",
+        "PASS circuit-agreement: 50 distribution draws at L=6 (max gap {}), "
+        "50 synchronization draws at depth 4",
+        "PASS entropy-monotonicity: 20x20 grid, max eigenvalue gap 4.44e-16",
+        "verify quick: all 4 checks passed",
+    ),
+    "full": (
+        "PASS oracle-convergence: short-corr table errors ['0.00317', '0.000114', '4.12e-06', "
+        "'1.49e-07']; long-corr table errors ['0.0685', '0.0243', '0.00834', '0.00283']; "
+        "short-corr markov gaps ['0.0108', '0.000397', '1.43e-05', '5.15e-07']",
+        "PASS fidelity-saturation: 500 draws, max |overlap - fidelity| = {}",
+        "PASS circuit-agreement: 100 distribution draws at L=10 (max gap {}), "
+        "200 synchronization draws at depth 6",
+        "PASS entropy-monotonicity: 50x50 grid, max eigenvalue gap 1.55e-15",
+        "verify full: all 4 checks passed",
+    ),
+}
+VERIFY_SEEDED = {
+    ("quick", 0): ("1.55e-15", "1.55e-15"),
+    ("quick", 7): ("9.99e-16", "1.78e-15"),
+    ("quick", 42): ("1.22e-15", "2.89e-15"),
+    ("quick", 123): ("1.11e-15", "1.44e-15"),
+    ("full", 42): ("2.89e-15", "4.88e-15"),
+}
+
+
+@pytest.mark.parametrize("level, seed", list(VERIFY_SEEDED))
+def test_verify_stdout_golden(capsys, level, seed):
+    code, out, _ = run_cli(capsys, "verify", "--level", level, "--seed", str(seed))
+    assert code == 0
+    assert out == "\n".join(VERIFY_LINES[level]).format(*VERIFY_SEEDED[level, seed]) + "\n"
+
+
 def test_verify_reports_failure(monkeypatch, capsys):
     monkeypatch.setattr(
         cli,

@@ -175,3 +175,35 @@ def test_single_step_agrees_with_ring_enumeration(ring_cache):
         )
         slow.append(float(np.max(np.abs(ring_t - tm_sym.t))))
     assert slow[2] < slow[1] < slow[0]
+
+
+# A (J, B, T) grid with T = inf, B = 0 and J = 0 (rows merge) on its axes.
+GRID_J = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])[:, None, None]
+GRID_B = np.array([-1.0, 0.0, 0.3, 2.0])[:, None]
+GRID_T = np.array([0.05, 0.7, 2.0, 50.0, math.inf])
+
+
+def test_transition_arrays_broadcast_bit_identical_to_per_point_calls():
+    t, p = transition_arrays(GRID_J, GRID_B, GRID_T)
+    assert t.shape == (5, 4, 5, 2, 2) and p.shape == (5, 4, 5, 2)
+    for index in np.ndindex(t.shape[:3]):
+        J, B, T = (float(np.broadcast_to(x, t.shape[:3])[index]) for x in (GRID_J, GRID_B, GRID_T))
+        t1, p1 = transition_arrays(J, B, T)
+        assert t[index].tobytes() == t1.tobytes() and p[index].tobytes() == p1.tobytes()
+        tm = transition_matrix(IsingParams(J, B, T))
+        assert tm.t.tobytes() == t1.tobytes() and tm.p.tobytes() == p1.tobytes()
+
+
+def test_broadcast_validation_names_the_first_bad_point():
+    # In C order over the broadcast shape (2, 3): a non-finite J or B anywhere
+    # is named before a bad T that comes earlier.
+    with pytest.raises(ValueError, match=r"^J and B must be finite, got J=inf, B=0\.5$"):
+        transition_arrays([1.0, 2.0, math.inf], [[0.5], [math.nan]], [[-1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^T must be strictly positive, got T=0\.0$"):
+        transition_arrays([1.0, -2.0], 0.3, [[1.0], [0.0], [-1.0]])
+    with pytest.raises(ValueError, match=r"^T must not be NaN$"):
+        transition_arrays(1.0, [0.0, 0.3], [[1.0], [math.nan]])
+    with pytest.raises(ValueError, match=r"overflows .*\(J=-1e\+300, B=0\.0, T=1e-10\)$"):
+        transition_arrays([1.0, -1e300], 0.0, 1e-10)
+    with pytest.raises(ValueError, match=r"underflows .*\(J=1\.0, B=0\.0, T=0\.002\)$"):
+        transition_arrays([0.5, 1.0], 0.0, [[1.0], [0.002]])

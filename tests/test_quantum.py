@@ -291,3 +291,37 @@ def test_mixture_eigenvalue_edges():
     assert (lo, hi) == (0.0, 1.0)
     lo, hi = mixture_eigenvalues(0.5, 0.0)
     assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
+
+
+def test_complexity_broadcast_bit_identical_to_per_point_calls():
+    # T = inf and J = 0 merge the rows (C_mu = C_q = 0); B = 0 is on the grid.
+    J = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])[:, None, None]
+    B = np.array([-1.0, 0.0, 0.3, 2.0])[:, None]
+    T = np.array([0.05, 0.7, 2.0, 50.0, math.inf])
+    stats = complexity(J, B, T)
+    assert stats.c_q.shape == (5, 4, 5)
+    assert (stats.c_mu[2] == 0.0).all() and (stats.c_mu[..., -1] == 0.0).all()
+    for index in np.ndindex(stats.c_q.shape):
+        point = (float(np.broadcast_to(x, stats.c_q.shape)[index]) for x in (J, B, T))
+        single = complexity(*point)
+        for field in ("t", "p", "overlap", "c_mu", "c_q"):
+            assert getattr(stats, field)[index].tobytes() == getattr(single, field).tobytes()
+
+
+def test_readme_domain_of_the_claim():
+    # README: over tau = T/|J| in [0.1, 1e3] and 81 values of b = B/|J|,
+    # C_mu never falls and C_q peaks inside the range for J > 0 with B != 0,
+    # and for J < 0 only where |B| > 2|J|; C_q falls throughout at B = 0, and
+    # for J < 0 with |B| <= 2|J| its maximum is at the low-T end.
+    J = np.array([1.0, -1.0])[:, None, None]
+    b = np.arange(-40, 41)[:, None] / 10.0  # exact at b = 0 and |b| = 2
+    tau = np.logspace(-1, 3, 401)
+    stats = complexity(J, b * abs(J), tau * abs(J))
+    peak = stats.c_q.argmax(axis=-1)
+    claim = (np.diff(stats.c_mu, axis=-1) >= 0).all(axis=-1) & (peak > 0) & (peak < tau.size - 1)
+    falls = (np.diff(stats.c_q, axis=-1) < 0).all(axis=-1)
+    field, strong = b[:, 0] != 0, abs(b[:, 0]) > 2
+    assert claim[0, field].all() and not claim[0, ~field].any()
+    assert falls[:, ~field].all()
+    assert claim[1, strong].all() and not claim[1, ~strong].any()
+    assert (peak[1, ~strong] == 0).all()

@@ -26,6 +26,17 @@ def test_draw_params_stay_in_box():
         assert 0.05 <= params.T <= 100.0
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42, 123])
+def test_block_draws_follow_draw_params_order(seed):
+    # Blocks of rows (J, B, T) hold the draw_params sequence bit for bit and
+    # leave the generator where the single draws leave it.
+    singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [draw_params(singles) for _ in range(100)]
+    rows = [row for n in (1, 32, 67) for row in verify._draw(blocks, n).tolist()]
+    assert rows == [[p.J, p.B, p.T] for p in expected]
+    assert blocks.random() == singles.random()
+
+
 def test_quick_verification_all_green():
     results = run_verification("quick", seed=42)
     assert len(results) == 4
@@ -46,13 +57,8 @@ def test_unknown_level_rejected():
 def test_corrupted_amplitudes_fail_saturation():
     # Deliberate sign flip in the second amplitude of the first memory state:
     # the overlap leaves the fidelity bound and the check must name the draw.
-    def corrupted_builder(tm):
-        amp = np.sqrt(tm.t)
-        amp[0, 1] = -amp[0, 1]
-        return QuantumModel(amp=amp, weights=tm.p.copy())
-
     result = check_fidelity_saturation(
-        seed=42, draws=10, max_length=6, model_builder=corrupted_builder
+        seed=42, draws=10, max_length=6, model_builder=_sign_flipped_builder
     )
     assert not result.passed
     assert "first counterexample at (J=" in result.detail
@@ -217,17 +223,20 @@ def reference_circuit_agreement(seed, draws, length, sync_draws, sync_depth):
     )
 
 
+# The corrupted builders index with ``...``, so one function serves a single
+# draw (the reference loop) and a stacked block (the check).
 def _sign_flipped_builder(tm):
     amp = np.sqrt(tm.t)
-    amp[0, 1] = -amp[0, 1]
+    amp[..., 0, 1] = -amp[..., 0, 1]
     return QuantumModel(amp=amp, weights=tm.p.copy())
 
 
 def _flip_where_cold(tm):
     # Only draws with a strongly biased first row break the bound, so the
     # first failure is not the first draw.
-    model = verify.build_quantum_model(tm)
-    return _sign_flipped_builder(tm) if tm.t[0, 0] > 0.9 else model
+    amp = np.sqrt(tm.t)
+    amp[..., 0, 1] = np.where(tm.t[..., 0, 0] > 0.9, -amp[..., 0, 1], amp[..., 0, 1])
+    return QuantumModel(amp=amp, weights=tm.p.copy())
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 123])
