@@ -49,10 +49,6 @@ MAX_DEPTH = 20
 
 _KET0 = np.array([1.0, 0.0])
 
-# math's functions elementwise: np.arctan2 can differ from math.atan2 by an
-# ulp, and the angles of stacked draws must equal those of single draws.
-_atan2, _cos, _sin = (np.vectorize(f, otypes=[float]) for f in (math.atan2, math.cos, math.sin))
-
 
 @dataclass(frozen=True, eq=False)
 class StepUnitaries:
@@ -77,6 +73,14 @@ class StepUnitaries:
         return state if index == 0 else (self.u @ state[..., None])[..., 0]
 
 
+def _rotations(x0: float, y0: float, x1: float, y1: float) -> tuple[float, ...]:
+    """theta0, theta1, then v and u row-major: rotations by theta0 and theta1 - theta0."""
+    theta0, theta1 = math.atan2(y0, x0), math.atan2(y1, x1)
+    c0, s0 = math.cos(theta0), math.sin(theta0)
+    c1, s1 = math.cos(theta1 - theta0), math.sin(theta1 - theta0)
+    return theta0, theta1, c0, -s0, s0, c0, c1, -s1, s1, c1
+
+
 def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
     """Planar rotations realizing the model's two memory states, stacked
     like the model's leading axes (numpy float angles for a single model).
@@ -84,10 +88,12 @@ def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
     Only the action of U on |s0> is ever used, so the rotation by
     (theta1 - theta0) is a sufficient completion.
     """
-    theta0, theta1 = np.moveaxis(_atan2(model.amp[..., 1], model.amp[..., 0]), -1, 0)
-    # Rotations by theta0 (v) and theta1 - theta0 (u), shape (..., 2, 2) each.
-    c, s = _cos([theta0, theta1 - theta0]), _sin([theta0, theta1 - theta0])
-    v, u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    batch = model.amp.shape[:-2]
+    # math's functions per draw: np.arctan2 can differ from math.atan2 by an
+    # ulp, and the angles of stacked draws must equal those of single draws.
+    table = np.array([_rotations(*draw) for draw in model.amp.reshape(-1, 4).tolist()])
+    theta0, theta1 = (table[:, i].reshape(batch)[()] for i in (0, 1))  # [()]: float if unstacked
+    v, u = table[:, 2:6].reshape(*batch, 2, 2), table[:, 6:].reshape(*batch, 2, 2)
     return StepUnitaries(v=v, u=u, theta0=theta0, theta1=theta1)
 
 
@@ -129,10 +135,10 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     each draw is one run from ``start``, numbered in C order.  Every run's
     squared branch weights sum to one at every depth (checked exactly).
     """
-    ancilla = su.v @ _KET0
-    turned = (su.u @ ancilla[..., None])[..., 0]
+    if not 1 <= length <= MAX_DEPTH:
+        raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
     # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
-    pair = np.stack([ancilla, turned], axis=-2).reshape(-1, 2, 2)
+    pair = np.stack([su.causal_state(0), su.causal_state(1)], axis=-2).reshape(-1, 2, 2)
     runs = len(pair)
     layer = BranchLayer(
         np.ones(runs),
@@ -180,8 +186,6 @@ def exact_output_distribution(
 ) -> FutureDistribution:
     """Exact Born-rule distribution over the 2**length measurement records,
     one table per draw when ``su`` has leading axes."""
-    if not 1 <= length <= MAX_DEPTH:
-        raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
     batch = np.shape(su.theta0)
@@ -218,8 +222,6 @@ def assert_synchronization(
     :class:`SyncReport`; with leading draw axes on ``su`` and ``model``, a
     list of them, one per draw in C order.
     """
-    if not 1 <= length <= MAX_DEPTH:
-        raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
     amp = model.amp.reshape(-1, 2, 2)
     worst = np.zeros(len(amp))
     first = [None] * len(amp)

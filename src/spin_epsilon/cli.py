@@ -146,16 +146,14 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out
     if out is None:
-        print("error: sweep requires --out PATH", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sweep requires --out PATH")
     grid = temperature_grid(args.t_min, args.t_max, args.points, args.spacing)
     table = sweep_table(args.J, args.B, grid)
     try:
         with open(out, "w", newline="") as handle:
             write_sweep(handle, table, args.format)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot write {out}: {exc}") from None
     T, c_q = table[np.argmax(table[:, -1]), [0, -1]].tolist()  # C_q's first maximum
     print(json.dumps({"points": len(table), "out": out, "cq_argmax_T": T, "cq_max_bits": c_q}))
     return EXIT_OK

@@ -197,34 +197,26 @@ class TmaxResult:
     unimodal: bool  # coarse grid showed a single rise-then-fall profile
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _cq(J: float, B: float, T: float) -> float:
-    return float(complexity(J, B, T).c_q)
-
-
 def find_tmax(
     J: float,
     B: float,
     t_range: tuple[float, float] = (0.05, 100.0),
     tol: float = 1e-4,
-    grid_points: int = 101,
 ) -> TmaxResult:
     """Temperature maximizing the quantum statistical complexity.
 
-    Coarse log-spaced grid scan (``grid_points`` points) followed by
-    golden-section refinement of the bracketing interval down to width
-    ``tol``, or to four ulps of T where that is wider.  A maximum on a range
-    endpoint is reported as a boundary result rather than an error; a
-    non-unimodal grid profile downgrades to the grid argmax with a warning.
+    A 101-point log scan brackets the argmax; k-section rounds of 33 evenly
+    spaced T (one array call each) keep the neighbours of each round's argmax
+    until the bracket is at most ``tol`` (or four ulps of T) wide; the best
+    sample wins.  A range-endpoint maximum is reported as a boundary result;
+    a non-unimodal grid profile returns the grid argmax with a warning.
     """
     lo, hi = t_range
     if not 0.0 < lo < hi < np.inf:  # also rejects NaN
         raise ValueError(f"t_range must satisfy 0 < lo < hi < inf, got {t_range}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    grid = np.logspace(np.log10(lo), np.log10(hi), grid_points)
+    grid = np.logspace(np.log10(lo), np.log10(hi), 101)
     grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
     values = complexity(J, B, grid).c_q
     k = int(np.argmax(values))
@@ -234,7 +226,7 @@ def find_tmax(
     falls_then_rise = np.any(np.diff(np.sign(moves)) > 0) if moves.size else False
     unimodal = not falls_then_rise
 
-    boundary = k in (0, grid_points - 1)
+    boundary = k in (0, len(grid) - 1)
     if boundary or not unimodal:
         if not boundary:
             warnings.warn(
@@ -244,21 +236,14 @@ def find_tmax(
             )
         return TmaxResult(float(grid[k]), float(values[k]), boundary, unimodal)
 
-    a, b = float(grid[k - 1]), float(grid[k + 1])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = _cq(J, B, x1), _cq(J, B, x2)
+    # The rounds' linear samples miss grid[k], so keep the best seen so far.
+    t_best, cq_best = grid[k], values[k]
+    a, b = grid[k - 1], grid[k + 1]
     while b - a > max(tol, 4 * math.ulp(b)):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = _cq(J, B, x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = _cq(J, B, x1)
-    t_best = 0.5 * (a + b)
-    cq_best = _cq(J, B, t_best)
-    if cq_best < values[k]:  # never report worse than the scan
-        t_best, cq_best = float(grid[k]), float(values[k])
-    return TmaxResult(t_best, cq_best, boundary=False, unimodal=True)
+        ts = np.linspace(a, b, 33)
+        cq = complexity(J, B, ts).c_q
+        i = int(np.argmax(cq))
+        if cq[i] >= cq_best:
+            t_best, cq_best = ts[i], cq[i]
+        a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    return TmaxResult(float(t_best), float(cq_best), boundary=False, unimodal=True)

@@ -40,7 +40,10 @@ from .ring import conditional_from_ring, enumerate_ring, markov_gap
 
 __all__ = ["CheckResult", "draw_params", "run_verification", "VERIFY_LEVELS"]
 
-VERIFY_LEVELS = ("quick", "full")
+# Per level: fidelity (draws, max_length), circuit (draws, length, sync_draws,
+# sync_depth) and entropy grid points; oracle ring sizes follow the level name.
+_BUDGETS = {"quick": ((50, 8), (50, 6, 50, 4), 20), "full": ((500, 12), (100, 10, 200, 6), 50)}
+VERIFY_LEVELS = tuple(_BUDGETS)
 
 # Parameter box for random draws, as (J, B, log T) bounds: couplings and
 # fields in [-3, 3], temperatures log-uniform over [0.05, 100].
@@ -250,16 +253,10 @@ def run_verification(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """
     if level not in VERIFY_LEVELS:
         raise ValueError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
-    if level == "quick":
-        return [
-            check_oracle_convergence("quick"),
-            check_fidelity_saturation(seed, draws=50, max_length=8),
-            check_circuit_agreement(seed, draws=50, length=6, sync_draws=50, sync_depth=4),
-            check_entropy_monotonicity(grid_points=20),
-        ]
+    fidelity, circuit, grid_points = _BUDGETS[level]
     return [
-        check_oracle_convergence("full"),
-        check_fidelity_saturation(seed, draws=500, max_length=12),
-        check_circuit_agreement(seed, draws=100, length=10, sync_draws=200, sync_depth=6),
-        check_entropy_monotonicity(grid_points=50),
+        check_oracle_convergence(level),
+        check_fidelity_saturation(seed, *fidelity),
+        check_circuit_agreement(seed, *circuit),
+        check_entropy_monotonicity(grid_points),
     ]

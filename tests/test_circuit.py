@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -120,10 +121,13 @@ def test_exact_distribution_random_draws():
 
 def test_distribution_length_guards():
     su = unitaries_for(1.0, 0.3, 2.0)
-    with pytest.raises(ValueError):
-        exact_output_distribution(su, 0, 0)
-    with pytest.raises(ValueError):
-        exact_output_distribution(su, 0, 21)
+    for length in (0, MAX_DEPTH + 1):
+        message = re.escape(f"length must be in [1, {MAX_DEPTH}], got {length}")
+        with pytest.raises(ValueError, match=message):
+            exact_output_distribution(su, 0, length)
+        # The public generator guards its own depth before walking a branch.
+        with pytest.raises(ValueError, match=message):
+            next(branch_layers(su, 0, length))
 
 
 def test_branch_weights_normalized_at_every_depth():

@@ -139,7 +139,7 @@ def test_sweep_degenerate_chain_zeroes(tmp_path, capsys):
 def test_sweep_requires_out(capsys):
     code, _, err = run_cli(capsys, "sweep", "--J", "1", "--B", "0.3")
     assert code == 2
-    assert "--out" in err
+    assert err == "error: sweep requires --out PATH\n"
 
 
 def test_sweep_unwritable_path(tmp_path, capsys):
@@ -251,8 +251,8 @@ def test_tmax_interior_report(capsys):
     assert code == 0
     payload = json.loads(out.strip())
     assert not payload["boundary"]
-    assert payload["T_max"] == pytest.approx(1.6321493107351839, abs=1e-6)
-    assert payload["C_q_bits"] == pytest.approx(0.28886018677912606, abs=1e-9)
+    assert payload["T_max"] == pytest.approx(1.6321218657964023, abs=1e-6)
+    assert payload["C_q_bits"] == pytest.approx(0.2888601868557145, abs=1e-9)
     assert payload["C_mu_bits"] > payload["C_q_bits"]
 
 

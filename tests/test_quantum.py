@@ -20,6 +20,7 @@ from spin_epsilon import (
     stationary_density,
     transition_matrix,
 )
+from spin_epsilon import quantum
 from spin_epsilon.sweep import compute_row
 from spin_epsilon.verify import draw_params
 
@@ -28,8 +29,8 @@ OVERLAP_SYMMETRIC = 0.6480542736638853
 CQ_SYMMETRIC = 0.6711874461252245
 
 # Interior quantum-complexity maximum on T in [0.05, 100] at (J=1, B=0.3).
-TMAX_GOLDEN = 1.6321493107351839
-CQ_AT_TMAX_GOLDEN = 0.28886018677912606
+TMAX_GOLDEN = 1.6321218657964023
+CQ_AT_TMAX_GOLDEN = 0.2888601868557145
 
 
 def model_for(J, B, T):
@@ -256,6 +257,50 @@ def test_find_tmax_interior_golden():
         warnings.simplefilter("error")
         strong = find_tmax(1.0, 3.0, (0.05, 100.0), 1e-4)
     assert strong.unimodal and not strong.boundary
+
+
+# (J, B) pairs with an interior C_q maximum: both signs of J, weak to strong fields.
+INTERIOR_PAIRS = [(1.0, 0.3), (1.0, 1.0), (1.0, 3.0), (2.5, -0.7), (-1.0, 3.0), (1.0, 0.01)]
+
+
+def coarse_scan_max(J, B):
+    grid = np.logspace(math.log10(0.05), 2.0, 101)
+    grid[0], grid[-1] = 0.05, 100.0
+    return complexity(J, B, grid).c_q.max()
+
+
+@pytest.mark.parametrize("J, B", INTERIOR_PAIRS)
+def test_find_tmax_refines_in_few_array_calls(monkeypatch, J, B):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return complexity(*args)
+
+    monkeypatch.setattr(quantum, "complexity", counted)
+    result = find_tmax(J, B, (0.05, 100.0), 1e-4)
+    assert not result.boundary and result.unimodal
+    # The coarse scan plus at most five k-section rounds, every one an array call.
+    assert len(calls) <= 6
+    assert all(np.ndim(T) == 1 for _, _, T in calls)
+
+
+@pytest.mark.parametrize("J, B, window", [(1.0, 0.3, (1.5, 1.8)), (-1.0, 3.0, (1.8, 2.1))])
+def test_find_tmax_matches_dense_scan(J, B, window):
+    # Reference: the argmax of one dense scan (spacing 7.5e-6), no search.
+    dense = np.linspace(*window, 40001)
+    k = int(np.argmax(complexity(J, B, dense).c_q))
+    assert 0 < k < len(dense) - 1  # the window brackets the maximum
+    tol = 1e-4
+    assert abs(find_tmax(J, B, (0.05, 100.0), tol).temperature - dense[k]) <= tol / 2
+
+
+@pytest.mark.parametrize("J, B", INTERIOR_PAIRS + [(3.0, 1.5), (2.5, -2.9), (0.5, 1.7)])
+@pytest.mark.parametrize("tol", [0.1, 1e-4, 1e-300])
+def test_find_tmax_never_below_coarse_scan(J, B, tol):
+    # At (3, 1.5), (2.5, -2.9) and (0.5, 1.7) all 33 samples of the first
+    # round (the only one at tol 0.1) fall below the scan's maximum.
+    assert find_tmax(J, B, (0.05, 100.0), tol).cq >= coarse_scan_max(J, B)
 
 
 def test_find_tmax_zero_field_is_boundary():
