@@ -32,7 +32,7 @@ from .classical import EpsilonMachine, sample_trajectory
 from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
-from .quantum import build_quantum_model, complexity, find_tmax
+from .quantum import build_quantum_model, find_tmax
 from .sweep import compute_row, sweep_table, temperature_grid, write_sweep
 from .verify import run_verification
 
@@ -193,11 +193,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_tmax(args: argparse.Namespace) -> int:
     J, B = args.J, args.B
     result = find_tmax(J, B, (args.t_min, args.t_max), args.tol)
-    c_mu = float(complexity(J, B, result.temperature).c_mu)
     payload = {
         "T_max": result.temperature,
         "C_q_bits": result.cq,
-        "C_mu_bits": c_mu,
+        "C_mu_bits": result.c_mu,
         "boundary": result.boundary,
         "unimodal": result.unimodal,
     }
@@ -206,7 +205,7 @@ def cmd_tmax(args: argparse.Namespace) -> int:
         print(f"{kind} for J = {J:g}, B = {B:g}")
         print(f"  T_max  = {format_float(result.temperature)}")
         print(f"  C_q    = {format_float(result.cq)} bits")
-        print(f"  C_mu   = {format_float(c_mu)} bits")
+        print(f"  C_mu   = {format_float(result.c_mu)} bits")
     print(json.dumps(payload))
     return EXIT_OK
 

@@ -193,6 +193,7 @@ class TmaxResult:
 
     temperature: float
     cq: float
+    c_mu: float  # classical complexity at the same sample
     boundary: bool  # argmax sat on a range endpoint; nothing interior found
     unimodal: bool  # coarse grid showed a single rise-then-fall profile
 
@@ -218,7 +219,8 @@ def find_tmax(
         raise ValueError(f"tol must be positive, got {tol}")
     grid = np.logspace(np.log10(lo), np.log10(hi), 101)
     grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
-    values = complexity(J, B, grid).c_q
+    stats = complexity(J, B, grid)
+    values = stats.c_q
     k = int(np.argmax(values))
 
     diffs = np.diff(values)
@@ -234,16 +236,18 @@ def find_tmax(
                 "returning the grid argmax without refinement",
                 stacklevel=2,
             )
-        return TmaxResult(float(grid[k]), float(values[k]), boundary, unimodal)
+        return TmaxResult(float(grid[k]), float(values[k]), float(stats.c_mu[k]),
+                          boundary, unimodal)
 
     # The rounds' linear samples miss grid[k], so keep the best seen so far.
-    t_best, cq_best = grid[k], values[k]
+    t_best, cq_best, c_mu_best = grid[k], values[k], stats.c_mu[k]
     a, b = grid[k - 1], grid[k + 1]
     while b - a > max(tol, 4 * math.ulp(b)):
         ts = np.linspace(a, b, 33)
-        cq = complexity(J, B, ts).c_q
-        i = int(np.argmax(cq))
-        if cq[i] >= cq_best:
-            t_best, cq_best = ts[i], cq[i]
+        stats = complexity(J, B, ts)
+        i = int(np.argmax(stats.c_q))
+        if stats.c_q[i] >= cq_best:
+            t_best, cq_best, c_mu_best = ts[i], stats.c_q[i], stats.c_mu[i]
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    return TmaxResult(float(t_best), float(cq_best), boundary=False, unimodal=True)
+    return TmaxResult(float(t_best), float(cq_best), float(c_mu_best),
+                      boundary=False, unimodal=True)

@@ -2,8 +2,9 @@
 
 A whole sweep is one closed-form array evaluation (:func:`quantum.complexity`)
 over the temperature grid: one float64 table in CSV column order, written as
-CSV or JSON in chunks of rows.  Each row depends on (J, B, T) alone, so sweeps
-are reproducible byte-for-byte and a single point equals the same point alone.
+CSV (through the array formatter :func:`distribution.csv_rows`) or JSON in
+chunks of rows.  Each row depends on (J, B, T) alone, so sweeps are
+reproducible byte-for-byte and a single point equals the same point alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import csv_rows
 from .quantum import complexity
 
 __all__ = [
@@ -30,21 +32,11 @@ _KEYS = CSV_HEADER.split(",")
 
 # Below this quantum complexity the efficiency ratio is left blank.
 RATIO_FLOOR = 1e-12
-CHUNK = 4096  # rows rendered per write: no whole-file string
-# Per format: head, row template (the ratio cell last, as text), ratio format
-# and blank, row separator, tail.  %.17g round-trips float64; %r is the float
-# repr json writes, and the JSON layout is exactly json.dump(..., indent=2).
-_LAYOUTS = {
-    "csv": (CSV_HEADER + "\n", ",".join(["%.17g"] * 12) + ",%s", "%.17g", "", "\n", "\n"),
-    "json": ("[\n", "  {\n" + "".join(f'    "{key}": %r,\n' for key in _KEYS[:-1])
-             + '    "ratio": %s\n  }', "%r", "null", ",\n", "\n]\n"),
-}
-
-
-def _lines(rows, fmt: str = "csv") -> list[str]:
-    """Render rows of 12 floats and a ratio (or None) in the ``fmt`` layout."""
-    _, template, number, blank, _, _ = _LAYOUTS[fmt]
-    return [template % (*cells, blank if r is None else number % r) for *cells, r in rows]
+CHUNK = 1024  # rows rendered per write: no whole-file string, little scratch memory
+# One JSON object per row, laid out exactly as json.dump(..., indent=2): %r is
+# the float repr json writes, and the ratio cell comes last as text.
+_JSON_ROW = ("  {\n" + "".join(f'    "{key}": %r,\n' for key in _KEYS[:-1])
+             + '    "ratio": %s\n  }')
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class SweepRow:
 
     # Fields are declared in CSV column order, and vars() keeps that order.
     def csv_line(self) -> str:
-        return _lines([vars(self).values()])[0]
+        return csv_rows(*_csv_cells(np.array([list(vars(self).values())[:12]])))[:-1]
 
     def as_dict(self) -> dict:
         return dict(zip(_KEYS, vars(self).values()))
@@ -114,6 +106,17 @@ def sweep_table(J: float, B: float, grid) -> np.ndarray:
     return table
 
 
+def _csv_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 13 CSV columns of table rows, and where a cell is blank: the ratio
+    C_mu / C_q below RATIO_FLOOR."""
+    cells = np.zeros((len(table), 13))
+    cells[:, :12] = table
+    blank = np.zeros(cells.shape, dtype=bool)
+    blank[:, 12] = table[:, 11] < RATIO_FLOOR
+    np.divide(table[:, 10], table[:, 11], out=cells[:, 12], where=~blank[:, 12])
+    return cells, blank
+
+
 def _rows(table: np.ndarray) -> list[list]:
     """Table rows as Python floats, each with its ratio cell (None below RATIO_FLOOR)."""
     return [[*r, r[-2] / r[-1] if r[-1] >= RATIO_FLOOR else None] for r in table.tolist()]
@@ -126,9 +129,17 @@ def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
 
 def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
     """Write a :func:`sweep_table` as CSV or JSON, ``CHUNK`` rows per write."""
-    head, _, _, _, separator, tail = _LAYOUTS[fmt]
-    handle.write(head)
-    for start in range(0, len(table), CHUNK):
-        lines = _lines(_rows(table[start:start + CHUNK]), fmt)
-        handle.write((separator if start else "") + separator.join(lines))
-    handle.write(tail)
+    chunks = (table[start:start + CHUNK] for start in range(0, len(table), CHUNK))
+    if fmt == "csv":
+        handle.write(CSV_HEADER + "\n")
+        for chunk in chunks:
+            handle.write(csv_rows(*_csv_cells(chunk)))
+        return
+    handle.write("[\n")
+    separator = ""
+    for chunk in chunks:
+        rows = [_JSON_ROW % (*cells, "null" if r is None else repr(r))
+                for *cells, r in _rows(chunk)]
+        handle.write(separator + ",\n".join(rows))
+        separator = ",\n"
+    handle.write("\n]\n")

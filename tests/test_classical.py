@@ -19,6 +19,7 @@ from spin_epsilon import (
     transition_matrix,
 )
 from spin_epsilon.classical import future_tables
+from spin_epsilon.distribution import format_float
 from spin_epsilon.verify import draw_params
 
 
@@ -243,6 +244,7 @@ def test_distribution_string_round_trip_and_csv():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "string,probability"
     assert len(lines) == 9
+    assert lines[1:] == [f"{table.string(i)},{format_float(p)}" for i, p in enumerate(table.probs.tolist())]
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert abs(total - 1.0) < 1e-12
 

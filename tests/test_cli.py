@@ -573,6 +573,20 @@ def test_module_entry_point_smoke():
     assert json.loads(result.stdout.strip())["C_mu_bits"] == 1.0
 
 
+def test_import_loads_no_heavy_modules():
+    # Start-up cost: the CSV formatter's tables are built on first use, and
+    # nothing on the import path pulls in exact-arithmetic or string modules.
+    code = (
+        "import sys, spin_epsilon.cli, spin_epsilon.distribution as d; "
+        "print([m for m in ('fractions', 'decimal', 'numpy.strings') if m in sys.modules], "
+        "d._tables.cache_info().currsize)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env=PACKAGE_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "0"]
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # A reader that takes a few bytes and closes the pipe (``| head -c 20``)
     # must end the command with exit 0 and nothing on stderr.

@@ -300,7 +300,10 @@ def test_find_tmax_matches_dense_scan(J, B, window):
 def test_find_tmax_never_below_coarse_scan(J, B, tol):
     # At (3, 1.5), (2.5, -2.9) and (0.5, 1.7) all 33 samples of the first
     # round (the only one at tol 0.1) fall below the scan's maximum.
-    assert find_tmax(J, B, (0.05, 100.0), tol).cq >= coarse_scan_max(J, B)
+    result = find_tmax(J, B, (0.05, 100.0), tol)
+    assert result.cq >= coarse_scan_max(J, B)
+    # C_mu comes from the same sample, bit-identical to a scalar call at T_max.
+    assert result.c_mu == float(complexity(J, B, result.temperature).c_mu)
 
 
 def test_find_tmax_zero_field_is_boundary():
@@ -310,12 +313,13 @@ def test_find_tmax_zero_field_is_boundary():
     assert result.boundary
     assert result.temperature == 0.05  # exactly the range end, not logspace's
     assert result.cq == pytest.approx(1.0, abs=1e-9)
+    assert result.c_mu == float(complexity(1.0, 0.0, 0.05).c_mu)
 
 
 def test_find_tmax_degenerate_chain_flat_zero():
     result = find_tmax(0.0, 0.0, (0.05, 100.0), 1e-4)
     assert result.boundary
-    assert result.cq == 0.0
+    assert result.cq == result.c_mu == 0.0
 
 
 def test_find_tmax_input_guards():

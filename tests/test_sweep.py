@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin_epsilon.cli as cli
 import spin_epsilon.sweep as sweep_mod
-from spin_epsilon.distribution import format_float
+from spin_epsilon.distribution import csv_rows, format_float, format_floats
 from spin_epsilon.quantum import complexity
 from spin_epsilon.sweep import (
     CHUNK,
@@ -200,7 +202,8 @@ MIXED, NUMERIC, BLANK = {True, False}, {False}, {True}
     [(1.0, 0.3, MIXED), (-1.0, 0.5, NUMERIC), (0.0, 0.0, BLANK), (0.0, 1.0, BLANK),
      (1.0, 3.0, MIXED)],
 )
-@pytest.mark.parametrize("points", [CHUNK - 1, CHUNK, CHUNK + 1])
+# Several whole chunks, and one row either side of a chunk boundary.
+@pytest.mark.parametrize("points", [4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
 def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank, points):
     grid = temperature_grid(0.05, 100.0, points, "log")
     rows = reference_rows(J, B, grid)
@@ -216,3 +219,89 @@ def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank
     capsys.readouterr()
     lines = expected["csv"].splitlines()[1:]
     assert [row.csv_line() for row in run_sweep(J, B, grid)] == lines
+
+
+def scalar_formats(values):
+    return np.array([format_float(x) for x in np.asarray(values, dtype=float).ravel().tolist()])
+
+
+def assert_formats_match(values):
+    values = np.asarray(values, dtype=float)
+    got, expected = format_floats(values).ravel(), scalar_formats(values)
+    bad = np.flatnonzero(got != expected)
+    assert bad.size == 0, [(values.ravel()[i], got[i], expected[i]) for i in bad[:5]]
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_format_floats_property(values):
+    # Every double, subnormals, +-0, +-inf and NaN, mixed in one array pass;
+    # repeated past the size below which every value takes the exact route.
+    assert_formats_match(values)
+    assert_formats_match(np.resize(values, 256))
+
+
+def test_format_floats_random_bit_patterns():
+    bits = np.random.default_rng(2017).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_formats_match(bits.view(np.float64))
+
+
+def test_format_floats_powers_and_their_neighbours():
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # 10**k +- 1 ulp straddle the decade that log10 guesses; 1e+-270 +- 1 ulp
+    # straddle the edges of the fast path.
+    x = np.concatenate([twos, tens, [1e-270, 1e270]])
+    for y in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)):
+        assert_formats_match(np.concatenate([y, -y]))
+
+
+def near_ties():
+    """Doubles x with x * 10**k at 2**-s or 3 * 2**-s from a half-integer in
+    [1e16, 1e17), for k = 23..25, where 10**k is not a double."""
+    out = []
+    for k in (23, 24, 25):
+        for s in range(44, 54):
+            inverse = pow(5**k, -1, 2**s)
+            for offset in (-3, -1, 1, 3):
+                residue = (2 ** (s - 1) + offset) * inverse % 2**s
+                for m in range(residue, 2**53, 2**s):
+                    if 1e16 <= m * 5**k / 2**s < 1e17:
+                        out.append(m * 2.0 ** (-s - k))
+    return np.array(out)
+
+
+def test_format_floats_ties_and_near_ties():
+    # 1 + j * 2**-17 has 18 significant digits: odd j are exact ties at 17.
+    ties = 1.0 + np.arange(2**17) * 2.0**-17
+    assert format_floats(1 + 2.0**-17) == "1.0000076293945312"
+    assert format_floats(1 + 3 * 2.0**-17) == "1.0000228881835938"
+    assert_formats_match(ties)
+    assert_formats_match(np.ldexp(ties, 60))  # the same ties in e-notation
+    near = near_ties()
+    assert len(near) > 200
+    assert_formats_match(np.concatenate([near, -near]))
+
+
+def test_format_floats_shapes():
+    assert format_floats(2.5).shape == ()
+    assert format_floats([[1.0, -0.0], [np.nan, 1e22]]).tolist() == [["1", "-0"], ["nan", "1e+22"]]
+    text = csv_rows([[1.0, 0.5], [10.0, 2e-5]], [[False, True], [False, False]])
+    assert text == "1,\n10,2.0000000000000002e-05\n"
+
+
+# Sweeps whose CSV cells take every layout: e-notation down to ~1e-261
+# (J=3, B=0 from T=0.01), a merged-row plateau of exact zeros with blank
+# ratios (J=0.5, B=2.9), integer-valued J and B, negative B.
+@pytest.mark.parametrize(
+    "J, B, t_min, feature",
+    [(3.0, 0.0, 0.01, "e-261"), (0.5, 2.9, 0.05, ",0,0,"), (10.0, -2.0, 0.05, ",10,-2,"),
+     (-1.0, -0.5, 0.05, ",-1,-0.5,")],
+)
+@pytest.mark.parametrize("points", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_write_sweep_csv_matches_scalar_reference(J, B, t_min, feature, points):
+    grid = temperature_grid(t_min, 100.0, points, "log") if points > 1 else np.array([t_min])
+    text = written(J, B, grid)
+    assert text == reference_csv(reference_rows(J, B, grid))
+    if points > 1:
+        assert feature in text
