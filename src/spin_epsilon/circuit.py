@@ -9,16 +9,17 @@ and is equivalent to building the full entangled chain and measuring at the
 end.
 
 The enumeration walks every measurement branch with exact amplitudes, one
-array layer per depth (weights, memory vectors, packed histories and run
-indices of all branches), which keeps the full depth ``MAX_DEPTH`` = 20
-(about a million branches) practical.  Unitaries with leading axes stack
-independent draws; one walk then covers every run, one (draw, start) pair
-each, in one flat layer, and the enumeration results come back per draw.
-The memory is always the collapsed ancilla amplitude, renormalized, never
-set to the expected state directly: synchronization with the encoding is
-what ``assert_synchronization`` checks.  The sampler walks a single seeded
-branch in one scan shared with the classical sampler.  All state vectors are
-real: the canonical amplitude gauge never produces a complex phase.  Branch
+``(run, 2**depth)`` grid per depth indexed by the emitted record, like the
+unifilar future tables: branch h's children are records 2h and 2h + 1, so
+each layer is one reshape of the last, and the full depth ``MAX_DEPTH`` = 20
+is one 2**20 table per run.  Unitaries with leading axes stack independent
+draws; one walk then covers every run, one (draw, start) pair per grid row,
+and the enumeration results come back per draw.  The memory is always the
+collapsed ancilla amplitude, renormalized, never set to the expected state
+directly: synchronization with the encoding is what
+``assert_synchronization`` checks.  The sampler walks a single seeded branch
+in one scan shared with the classical sampler.  All state vectors are real:
+the canonical amplitude gauge never produces a complex phase.  Branch
 enumeration is read-only over shared inputs; the sampler owns its RNG.
 """
 
@@ -30,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .classical import scan_states
+from .classical import MAX_TABLE_LENGTH, scan_states
 from .distribution import FutureDistribution, symbol_string
 from .quantum import QuantumModel
 
@@ -45,7 +46,7 @@ __all__ = [
     "sample_quantum_trajectory",
 ]
 
-MAX_DEPTH = 20
+MAX_DEPTH = MAX_TABLE_LENGTH  # a depth-L layer is one 2**L record table per run
 
 _KET0 = np.array([1.0, 0.0])
 
@@ -99,29 +100,26 @@ def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
 
 @dataclass(frozen=True, eq=False)
 class BranchLayer:
-    """Every measurement branch at one depth, as parallel arrays.
+    """Every measurement branch at one depth, on the record-index grid.
 
-    Row i is one branch: ``weight[i]**2`` is the probability of the emitted
-    prefix ``history[i]`` (first symbol in the most significant bit) within
-    run ``run[i]``, and ``memory[i]`` is its memory vector.  Each run's
-    branches are contiguous and the runs come in order; ``run`` defaults to
-    all zeros, a single run.  The memory register is one qubit by
-    construction; the shape check keeps that structural.
+    ``weight[r, h]**2`` is the probability that run ``r`` emits the record
+    ``h`` (first symbol in the most significant bit), and ``memory[r, h]`` is
+    the memory vector after it.  A record that some step on its path gave
+    probability zero stays in the grid as a dead branch: weight 0 and memory
+    0.  A live branch's memory is a unit vector even where its weight has
+    underflowed to 0.  The memory register is one qubit by construction; the
+    shape check keeps that structural.
     """
 
     weight: np.ndarray
     memory: np.ndarray
-    history: np.ndarray
-    run: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.memory.shape != (len(self.weight), 2):
+        if self.memory.shape != self.weight.shape + (2,):
             raise ValueError("memory register must stay a single qubit")
-        if self.run is None:
-            object.__setattr__(self, "run", np.zeros(len(self.weight), dtype=np.intp))
 
     def __len__(self) -> int:
-        return len(self.weight)
+        return self.weight.size
 
 
 def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[BranchLayer]:
@@ -130,49 +128,35 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     One circuit pass per depth acts on the whole layer: row k of a branch's
     joint amplitudes over (emitted qubit, ancilla) is the ancilla vector
     paired with emitted outcome k, and the outcome probabilities are the
-    squared row norms.  Zero-probability outcomes are dropped; the survivors
-    keep branch-major, outcome-minor order.  With leading axes on ``su``,
-    each draw is one run from ``start``, numbered in C order.  Every run's
-    squared branch weights sum to one at every depth (checked exactly).
+    squared row norms.  Branch h's outcome k becomes record 2h + k of the
+    next layer.  With leading axes on ``su``, each draw is one run from
+    ``start``, one grid row in C order.  Every run's squared branch weights
+    sum to one at every depth (checked exactly).
     """
     if not 1 <= length <= MAX_DEPTH:
         raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
     # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
     pair = np.stack([su.causal_state(0), su.causal_state(1)], axis=-2).reshape(-1, 2, 2)
     runs = len(pair)
-    layer = BranchLayer(
-        np.ones(runs),
-        su.causal_state(start).reshape(-1, 2),
-        np.zeros(runs, dtype=np.int64),
-        np.arange(runs),
-    )
-    counts = np.ones(runs, dtype=np.intp)
+    layer = BranchLayer(np.ones((runs, 1)), su.causal_state(start).reshape(runs, 1, 2))
     for depth in range(1, length + 1):
-        # joint[i, k, j] = memory[i, k] * pair[run i, k, j], built column by
+        # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j], built column by
         # column so that every inner loop runs over branches.
-        joint = np.empty((len(layer), 2, 2))
+        joint = np.empty(layer.memory.shape + (2,))
         for k, j in np.ndindex(2, 2):
-            np.multiply(layer.memory[:, k], np.repeat(pair[:, k, j], counts), out=joint[:, k, j])
+            np.multiply(layer.memory[..., k], pair[:, k, j, None], out=joint[..., k, j])
         squares = joint * joint
-        probs = (squares[..., 0] + squares[..., 1]).ravel()
-        kept = np.flatnonzero(probs)
-        parent, outcome = kept >> 1, kept & 1
-        root = np.sqrt(probs[kept])
-        memory = np.empty((kept.size, 2))
+        root = np.sqrt(squares[..., 0] + squares[..., 1])
+        weight = (layer.weight[..., None] * root).reshape(runs, -1)
+        root, joint = root.reshape(runs, -1), joint.reshape(runs, -1, 2)
+        memory = np.zeros(joint.shape)  # dead branches keep memory 0
         for j in (0, 1):
-            np.divide(joint.reshape(-1, 2)[kept, j], root, out=memory[:, j])
-        layer = BranchLayer(
-            weight=layer.weight[parent] * root,
-            memory=memory,
-            history=(layer.history[parent] << 1) | outcome,
-            run=layer.run[parent],
-        )
-        bounds = np.searchsorted(layer.run, np.arange(runs + 1))
-        counts = np.diff(bounds)
+            np.divide(joint[..., j], root, out=memory[..., j], where=root != 0)
+        layer = BranchLayer(weight, memory)
         # fsum reads a memoryview as Python floats, twice as fast as an array.
-        norms = memoryview(layer.weight * layer.weight)
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            total = math.fsum(norms[lo:hi])
+        norms, width = memoryview((weight * weight).ravel()), weight.shape[1]
+        for lo in range(0, weight.size, width):
+            total = math.fsum(norms[lo : lo + width])
             if abs(total - 1.0) > 1e-12:
                 raise RuntimeError(
                     f"branch weights lost normalization at depth {depth}: "
@@ -188,10 +172,7 @@ def exact_output_distribution(
     one table per draw when ``su`` has leading axes."""
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
-    batch = np.shape(su.theta0)
-    probs = np.zeros((math.prod(batch), 2**length))
-    probs[layer.run, layer.history] = layer.weight**2
-    return FutureDistribution(length, probs.reshape(*batch, -1))
+    return FutureDistribution(length, (layer.weight**2).reshape(*np.shape(su.theta0), -1))
 
 
 @dataclass(frozen=True)
@@ -227,15 +208,17 @@ def assert_synchronization(
     first = [None] * len(amp)
     for start in (0, 1):
         for depth, layer in enumerate(branch_layers(su, start, length), start=1):
-            expected = amp[layer.run, layer.history & 1]
-            deviation = np.abs(np.abs(np.sum(layer.memory * expected, axis=1)) - 1.0)
-            np.maximum.at(worst, layer.run, deviation)
-            failing = np.flatnonzero(deviation > tol)
+            # Record h ends in symbol h & 1: pair each memory with amp[r, h & 1].
+            memory = layer.memory.reshape(len(amp), -1, 2, 2)
+            overlap = np.sum(memory * amp[:, None], axis=-1).reshape(len(amp), -1)
+            live = (layer.memory != 0).any(axis=-1)  # not weight > 0: weights underflow
+            deviation = np.where(live, np.abs(np.abs(overlap) - 1.0), 0.0)
+            worst = np.maximum(worst, deviation.max(axis=1))
+            failing = deviation > tol
             # The first failing branch of each run that has one.
-            runs, at = np.unique(layer.run[failing], return_index=True)
-            for run, branch in zip(runs.tolist(), failing[at].tolist()):
+            for run in np.flatnonzero(failing.any(axis=1)).tolist():
                 if first[run] is None:
-                    first[run] = (depth, symbol_string(int(layer.history[branch]), depth))
+                    first[run] = (depth, symbol_string(int(failing[run].argmax()), depth))
     reports = [
         SyncReport(passed=f is None, max_deviation=w, first_failure=f)
         for w, f in zip(worst.tolist(), first)

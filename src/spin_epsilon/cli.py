@@ -75,16 +75,20 @@ CONFIG_KEYS = OPTIONS.keys() - {"config"}  # --config names the file, not a key 
 
 def load_config(path: str) -> dict[str, str]:
     """Parse a flat KEY=VALUE config file."""
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except OSError as exc:  # missing, a directory, unreadable: its message names the file
+        raise ValueError(str(exc)) from None
     values: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,8 @@ from spin_epsilon import (
     sample_quantum_trajectory,
     transition_matrix,
 )
-from spin_epsilon.circuit import MAX_DEPTH, BranchLayer
+from spin_epsilon import circuit
+from spin_epsilon.circuit import MAX_DEPTH, BranchLayer, SyncReport
 from spin_epsilon.verify import draw_params
 
 
@@ -133,17 +134,33 @@ def test_distribution_length_guards():
 def test_branch_weights_normalized_at_every_depth():
     su = unitaries_for(1.0, 0.3, 2.0)
     for depth, layer in enumerate(branch_layers(su, 0, 8), start=1):
-        total = math.fsum(layer.weight**2)
+        total = math.fsum(layer.weight.ravel() ** 2)
         assert abs(total - 1.0) < 1e-12, f"depth {depth}"
 
 
+@pytest.mark.parametrize("start, total", [(0, 1.003523209228493), (1, 1.0326272244557049)])
+def test_normalization_guard_rejects_non_unitary_step(start, total):
+    # Stretching U by 1% makes |s1> longer than one, so the squared branch
+    # weights stop summing to one at the first step.
+    su = unitaries_for(1.0, 0.3, 2.0)
+    bad = replace(su, u=1.01 * su.u)
+    message = re.escape(f"branch weights lost normalization at depth 1: sum of squares = {total!r}")
+    good = unitaries_for(-2.0, 1.0, 0.5)
+    for case in (bad, stacked([good, bad, good])):
+        with pytest.raises(RuntimeError, match=message):
+            next(branch_layers(case, start, 4))
+        with pytest.raises(RuntimeError, match=message):
+            exact_output_distribution(case, start, 4)
+
+
 def test_branch_memory_must_stay_one_qubit():
-    one = np.ones(1)
-    history = np.zeros(1, dtype=np.int64)
+    one = np.ones((1, 1))
     with pytest.raises(ValueError):
-        BranchLayer(weight=one, memory=np.zeros((1, 4)), history=history)
+        BranchLayer(weight=one, memory=np.zeros((1, 1, 4)))
     with pytest.raises(ValueError):
-        BranchLayer(weight=one, memory=np.zeros(2), history=history)
+        BranchLayer(weight=one, memory=np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        BranchLayer(weight=np.ones(2), memory=np.zeros((1, 2, 2)))
 
 
 def test_branch_layers_bit_identical_to_reference_walk():
@@ -154,23 +171,29 @@ def test_branch_layers_bit_identical_to_reference_walk():
         (build_step_unitaries(build_quantum_model(transition_matrix(params))), start, length)
         for params, start, length in cases
     ]
-    runs.append((identity_encoding_unitaries(), 0, 6))  # drops zero outcomes
+    runs.append((identity_encoding_unitaries(), 0, 6))  # has zero outcomes
     for su, start, length in runs:
         walks = zip(branch_layers(su, start, length), reference_layers(su, start, length))
         for layer, ref in walks:
-            assert layer.weight.tobytes() == np.array([b[0] for b in ref]).tobytes()
-            assert layer.memory.tobytes() == np.array([b[1] for b in ref]).tobytes()
-            assert layer.history.tolist() == [b[2] for b in ref]
+            weight, memory = layer.weight[0], layer.memory[0]
+            live = (memory != 0).any(axis=1)
+            assert np.flatnonzero(live).tolist() == [b[2] for b in ref]
+            assert weight[live].tobytes() == np.array([b[0] for b in ref]).tobytes()
+            assert memory[live].tobytes() == np.array([b[1] for b in ref]).tobytes()
+            assert not weight[~live].any() and not memory[~live].any()
 
 
-def test_layer_length_counts_branches_and_drops_zero_outcomes():
+def test_layer_length_counts_branches_and_keeps_zero_outcomes():
     su = unitaries_for(1.0, 0.3, 2.0)
     for depth, layer in enumerate(branch_layers(su, 1, 6), start=1):
-        assert len(layer) == layer.history.size == 2**depth
-    for layer in branch_layers(identity_encoding_unitaries(), 0, 6):
-        assert len(layer) == 1
-        assert layer.history.tolist() == [0]
-        assert layer.weight.tolist() == [1.0]
+        assert len(layer) == layer.weight.size == 2**depth
+    # From |0> the identity encoding emits only record 0; every other record
+    # is a dead branch that stays in the grid with weight 0 and memory 0.
+    for depth, layer in enumerate(branch_layers(identity_encoding_unitaries(), 0, 6), start=1):
+        assert len(layer) == 2**depth
+        assert layer.weight.tolist() == [[1.0] + [0.0] * (2**depth - 1)]
+        assert layer.memory[0, 0].tolist() == [1.0, 0.0]
+        assert not layer.memory[0, 1:].any()
 
 
 def test_exact_distribution_at_max_depth():
@@ -260,7 +283,7 @@ def test_stacked_runs_bit_identical_to_per_draw_calls():
     params = [draw_params(rng) for _ in range(60)]
     params += [IsingParams(1.0, 0.0, math.inf), IsingParams(3.0, 0.0, 0.05)]
     models = [build_quantum_model(transition_matrix(p)) for p in params]
-    models.append(QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5])))  # drops outcomes
+    models.append(QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5])))  # zero outcomes
     sus = [build_step_unitaries(m) for m in models]
     su, model = stacked(sus), stacked(models)
     for start in (0, 1):
@@ -269,12 +292,11 @@ def test_stacked_runs_bit_identical_to_per_draw_calls():
             assert table.shape == (len(sus), 2**length)
             singles = [exact_output_distribution(one, start, length).probs for one in sus]
             assert table.tobytes() == np.stack(singles).tobytes()
-        # Each run's branches in the flat layer are that draw's own layer.
+        # Row r of each stacked layer is draw r's own single-run layer.
         walks = [branch_layers(one, start, 5) for one in sus]
-        for layer, *singles in zip(branch_layers(su, start, 5), *walks):
-            runs = [r for r, one in enumerate(singles) for _ in range(len(one))]
-            assert layer.run.tolist() == runs
-            for field in ("weight", "memory", "history"):
+        for depth, (layer, *singles) in enumerate(zip(branch_layers(su, start, 5), *walks), 1):
+            assert layer.weight.shape == (len(sus), 2**depth)
+            for field in ("weight", "memory"):
                 expected = np.concatenate([getattr(one, field) for one in singles])
                 assert getattr(layer, field).tobytes() == expected.tobytes()
     # Memories checked against a wrong encoding from some draws on.
@@ -302,3 +324,53 @@ def test_stacked_angles_are_math_atan2_where_numpy_differs():
     for field in ("v", "u", "theta0", "theta1"):
         expected = np.stack([getattr(one, field) for one in singles])
         assert getattr(su, field).tobytes() == expected.tobytes()
+
+
+def test_layer_length_is_runs_times_records():
+    # The benchmark tracer records len(layer) as the branch count of a layer.
+    sus = [unitaries_for(1.0, 0.3, 2.0), unitaries_for(-1.0, 2.0, 0.3), identity_encoding_unitaries()]
+    for depth, layer in enumerate(branch_layers(stacked(sus), 1, 7), start=1):
+        assert len(layer) == 3 * 2**depth
+    for depth, layer in enumerate(branch_layers(sus[0], 0, 7), start=1):
+        assert len(layer) == 2**depth
+
+
+def test_dead_rows_stay_out_of_synchronization():
+    # The identity encoding from |0> has one live record per depth; its dead
+    # records (weight 0, memory 0) would each deviate by 1 if checked.  (From
+    # |1> both outcomes live: cos(pi/2) leaves |s1> a 6e-17 first amplitude.)
+    rng = np.random.default_rng(71)
+    identity = QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5]))
+    models = [build_quantum_model(transition_matrix(draw_params(rng))) for _ in range(4)]
+    models.insert(2, identity)
+    sus = [build_step_unitaries(m) for m in models]
+    su = stacked(sus)
+    for depth, layer in enumerate(branch_layers(su, 0, 6), start=1):
+        dead = ~(layer.memory != 0).any(axis=-1)
+        assert dead[[0, 1, 3, 4]].sum() == 0
+        assert dead[2].sum() == 2**depth - 1
+        assert not layer.weight[dead].any() and not layer.memory[dead].any()
+    assert assert_synchronization(sus[2], identity, 6) == SyncReport(True, 0.0, None)
+    reports = assert_synchronization(su, stacked(models), 6)
+    assert reports == [assert_synchronization(s, m, 6) for s, m in zip(sus, models)]
+    assert all(r.passed for r in reports)
+
+
+def test_synchronization_checks_branches_whose_weight_underflowed(monkeypatch):
+    # At T = 0.05 many live branches' weights underflow to 0 by depth 12;
+    # their memories are still unit vectors.
+    for layer in branch_layers(unitaries_for(3.0, 3.0, 0.05), 0, 12):
+        pass
+    assert (layer.memory != 0).any(axis=-1).all() and (layer.weight == 0).sum() > 1000
+    # Such a branch is checked; a dead one is not.  At depth 2, record 2
+    # (ends in +) is dead and record 3 (ends in -) holds |s0> with weight 0.
+    model = build_quantum_model(transition_matrix(IsingParams(1.0, 0.3, 2.0)))
+    s0, s1, dead = model.amp[0], model.amp[1], [0.0, 0.0]
+    grids = [
+        BranchLayer(np.array([[1.0, 0.0]]), np.array([[s0, dead]])),
+        BranchLayer(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[s0, s1, dead, s0]])),
+    ]
+    monkeypatch.setattr(circuit, "branch_layers", lambda su, start, length: iter(grids))
+    report = assert_synchronization(unitaries_for(1.0, 0.3, 2.0), model, 2)
+    assert report.first_failure == (2, "--")
+    assert report.max_deviation == abs(abs(s0 @ s1) - 1.0)

@@ -540,6 +540,17 @@ def test_config_value_that_fails_its_cast_names_the_key(tmp_path, capsys):
     assert json.loads(out)["C_mu_bits"] == 1.0
 
 
+def test_unreadable_config_exits_two_naming_the_path(tmp_path, capsys):
+    # A directory cannot be read as a config file: a usage error, not a traceback.
+    code, out, err = run_cli(capsys, "complexity", "--config", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "complexity", "--config", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 @pytest.mark.parametrize(
     "command, key",
     [("complexity", "format"), ("sweep", "spacing"), ("simulate", "backend"), ("verify", "level")],
