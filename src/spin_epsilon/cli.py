@@ -2,7 +2,8 @@
 
 Subcommands: ``complexity``, ``sweep``, ``simulate``, ``tmax``, ``verify``.
 Exit codes: 0 success (also when the reader closes stdout early), 1
-verification failure (or a violated internal invariant), 2 usage error.
+verification failure (or a violated internal invariant), 2 usage error (also
+a failed write to stdout or ``--out``).
 
 Each option is declared once, in :data:`OPTIONS`: its type, default, allowed
 values and help.  :data:`COMMANDS` names the options each subcommand takes;
@@ -80,6 +81,8 @@ def load_config(path: str) -> dict[str, str]:
             lines = handle.readlines()
     except OSError as exc:  # missing, a directory, unreadable: its message names the file
         raise ValueError(str(exc)) from None
+    except UnicodeDecodeError as exc:  # not text: its message does not name the file
+        raise ValueError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,11 +276,15 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # Reader gone (``| head``): devnull keeps the exit-time flush quiet.
+    except OSError as exc:
+        # Every file the commands open turns its OSError into a ValueError, so
+        # this one came from stdout.  Devnull keeps the exit-time flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except (ValueError, FileNotFoundError) as exc:
+        if isinstance(exc, BrokenPipeError):  # reader gone (``| head``)
+            return EXIT_OK
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)  # ``> /dev/full``
+        return EXIT_USAGE
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

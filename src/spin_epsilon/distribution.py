@@ -12,7 +12,6 @@ __all__ = [
     "entropy_bits",
     "symbols_to_line",
     "format_float",
-    "format_floats",
     "csv_rows",
 ]
 
@@ -31,8 +30,8 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# The array form of format_float renders each float64 into five uint64 words;
-# its text is their little-endian bytes with the NULs dropped:
+# csv_rows renders every cell, however few, as format_float's text in five
+# uint64 words; the text is their little-endian bytes with the NULs dropped:
 #   word 0     sign, and the "0." to "0.000" head of fixed notation below 1
 #   words 1-3  the 17 digits, the point let in, zeros past the point cleared
 #   word 4     the "e+XX" suffix; its top byte is left for a CSV separator
@@ -43,14 +42,11 @@ def format_float(x: float) -> str:
 # or go subnormal), a fraction within 1e-6 of one half, and a decade that one
 # correction of log10's guess does not settle.  This is the approximate path
 # proven by an error window of Loitsch, "Printing floating-point numbers
-# quickly and accurately with integers" (PLDI 2010).  Fewer than _MIN_VALUES
-# values take the exact route whole: the array pass costs ~0.2 ms however
-# few values it renders, as much as ~200 scalar formats.
+# quickly and accurately with integers" (PLDI 2010).
 _SPLIT = 134217729.0  # 2**27 + 1
 _K0, _K1 = 256, 290  # the power table holds 10**k for -_K0 <= k < _K1
 _FAST = (1e-270, 1e270)
 _TIE_WINDOW = 1e-6
-_MIN_VALUES = 200
 _U = np.uint64
 
 
@@ -128,8 +124,6 @@ def _exact(x) -> np.ndarray:
 def _render(values) -> np.ndarray:
     """``'%.17g' % x`` of every value, as one row of five words (see above) each."""
     x = np.asarray(values, dtype=float).reshape(-1)
-    if x.size < _MIN_VALUES:
-        return _exact(x)
     tab = _tables()
     a = np.abs(x)
     fast = (a >= _FAST[0]) & (a <= _FAST[1])
@@ -194,13 +188,6 @@ def csv_rows(table, blank=None) -> str:
     return words.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
 
 
-def format_floats(values) -> np.ndarray:
-    """``format_float`` of every value, as a str array of the values' shape."""
-    shape = np.shape(values)
-    lines = csv_rows(np.reshape(values, (-1, 1))).split("\n")[:-1]
-    return np.array(lines, dtype=str).reshape(shape)
-
-
 def entropy_bits(weights) -> float:
     """Shannon entropy in bits with the 0*log(0) = 0 convention.
 
@@ -262,9 +249,3 @@ class FutureDistribution:
             raise ValueError("nothing left to marginalize below length 2")
         pairs = self.probs.reshape(*self.probs.shape[:-1], -1, 2)
         return FutureDistribution(self.length - 1, pairs.sum(axis=-1))
-
-    def to_csv(self) -> str:
-        """CSV dump of one table, with header ``string,probability``."""
-        probs = format_floats(self.probs.reshape(2**self.length))  # one table only
-        rows = (f"{self.string(i)},{p}\n" for i, p in enumerate(probs))
-        return "string,probability\n" + "".join(rows)

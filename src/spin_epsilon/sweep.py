@@ -58,9 +58,6 @@ class SweepRow:
     ratio: float | None
 
     # Fields are declared in CSV column order, and vars() keeps that order.
-    def csv_line(self) -> str:
-        return csv_rows(*_csv_cells(np.array([list(vars(self).values())[:12]])))[:-1]
-
     def as_dict(self) -> dict:
         return dict(zip(_KEYS, vars(self).values()))
 

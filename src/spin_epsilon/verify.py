@@ -141,18 +141,12 @@ def check_oracle_convergence(level: str = "quick") -> CheckResult:
     return CheckResult("oracle-convergence", True, "; ".join(details))
 
 
-def check_fidelity_saturation(
-    seed: int, draws: int, max_length: int = 12, model_builder=build_quantum_model
-) -> CheckResult:
-    """Overlap must equal the classical fidelity bound on every random draw.
-
-    ``model_builder`` maps a block's stacked transition matrices to its
-    stacked models.
-    """
+def check_fidelity_saturation(seed: int, draws: int, max_length: int = 12) -> CheckResult:
+    """Overlap must equal the classical fidelity bound on every random draw."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for points, tm in _draw_blocks(rng, draws):
-        reports = fidelity_saturation_check(tm, model_builder(tm), max_length)
+        reports = fidelity_saturation_check(tm, build_quantum_model(tm), max_length)
         for point, report in zip(points, reports):
             worst = max(worst, report.max_gap)
             if not report.passed:

@@ -549,6 +549,13 @@ def test_unreadable_config_exits_two_naming_the_path(tmp_path, capsys):
     code, out, err = run_cli(capsys, "complexity", "--config", str(missing))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    undecodable = tmp_path / "utf16.cfg"
+    undecodable.write_bytes(b"\xff\xfeJ\x00=\x001\x00\n\x00")
+    with pytest.raises(UnicodeDecodeError) as decode_error:
+        undecodable.read_text()
+    code, out, err = run_cli(capsys, "complexity", "--config", str(undecodable))
+    assert (code, out) == (2, "")
+    assert err == f"error: {undecodable}: {decode_error.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -612,3 +619,20 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["complexity", "tmax", "simulate", "verify"])
+def test_full_stdout_exits_two_naming_stdout(command):
+    # A write to stdout that fails (``> /dev/full``) is a named error, not a
+    # traceback, and the exit-time flush adds nothing to stderr.
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "spin_epsilon.cli", command],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=PACKAGE_ENV,
+        )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: cannot write stdout: {OSError(28, os.strerror(28))}"
+    ]
+    assert "Traceback" not in result.stderr

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import spin_epsilon.cli as cli
 import spin_epsilon.sweep as sweep_mod
-from spin_epsilon.distribution import csv_rows, format_float, format_floats
+from spin_epsilon.distribution import csv_rows, format_float
 from spin_epsilon.quantum import complexity
 from spin_epsilon.sweep import (
     CHUNK,
@@ -87,15 +87,21 @@ def test_row_golden_values():
         assert data[key] == pytest.approx(expected, rel=1e-12), key
 
 
+def csv_line(J, B, T):
+    """The CSV line of a point alone: write_sweep on a 0-d grid."""
+    header, line = written(J, B, T).splitlines()
+    return line
+
+
 def test_row_csv_line_formatting():
     row = compute_row(1.0, 0.3, 2.0)
-    line = row.csv_line()
+    line = csv_line(1.0, 0.3, 2.0)
     cells = line.split(",")
     assert len(cells) == 13
     assert cells[0] == "2"
     assert float(cells[3]) == row.p0  # 17 significant digits round-trip
     # Recomputation is bit-identical.
-    assert compute_row(1.0, 0.3, 2.0).csv_line() == line
+    assert csv_line(1.0, 0.3, 2.0) == line
 
 
 def test_ratio_blank_below_floor():
@@ -104,7 +110,7 @@ def test_ratio_blank_below_floor():
         row = compute_row(J, B, T)
         assert row.c_mu_bits == 0.0 and row.c_q_bits == 0.0
         assert row.ratio is None
-        assert row.csv_line().endswith(",")
+        assert csv_line(J, B, T).endswith(",")
         assert json.loads(written(J, B, T, "json"))[0]["ratio"] is None
 
 
@@ -174,8 +180,8 @@ def test_sweep_order_and_rerun_identical():
     assert written(1.0, 0.3, grid) == written(1.0, 0.3, grid)
     assert [r.T for r in rows] == [float(t) for t in grid]
     # A point inside a sweep is byte-identical to the same point alone.
-    for row in rows:
-        assert row.csv_line() == compute_row(1.0, 0.3, row.T).csv_line()
+    lines = written(1.0, 0.3, grid).splitlines()[1:]
+    assert lines == [csv_line(1.0, 0.3, T) for T in grid]
 
 
 def test_sweep_rows_respect_memory_ordering():
@@ -217,8 +223,8 @@ def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank
         ]) == 0
         assert out_path.read_bytes() == text.encode()
     capsys.readouterr()
-    lines = expected["csv"].splitlines()[1:]
-    assert [row.csv_line() for row in run_sweep(J, B, grid)] == lines
+    assert written(J, B, grid) == expected["csv"]
+    assert [tuple(vars(row).values()) for row in run_sweep(J, B, grid)] == rows
 
 
 def scalar_formats(values):
@@ -227,7 +233,8 @@ def scalar_formats(values):
 
 def assert_formats_match(values):
     values = np.asarray(values, dtype=float)
-    got, expected = format_floats(values).ravel(), scalar_formats(values)
+    got = np.array(csv_rows(values.reshape(-1, 1)).split("\n")[:-1])
+    expected = scalar_formats(values)
     bad = np.flatnonzero(got != expected)
     assert bad.size == 0, [(values.ravel()[i], got[i], expected[i]) for i in bad[:5]]
 
@@ -236,7 +243,7 @@ def assert_formats_match(values):
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_format_floats_property(values):
     # Every double, subnormals, +-0, +-inf and NaN, mixed in one array pass;
-    # repeated past the size below which every value takes the exact route.
+    # each list reaches the kernel as it is and repeated to 256 values.
     assert_formats_match(values)
     assert_formats_match(np.resize(values, 256))
 
@@ -274,8 +281,8 @@ def near_ties():
 def test_format_floats_ties_and_near_ties():
     # 1 + j * 2**-17 has 18 significant digits: odd j are exact ties at 17.
     ties = 1.0 + np.arange(2**17) * 2.0**-17
-    assert format_floats(1 + 2.0**-17) == "1.0000076293945312"
-    assert format_floats(1 + 3 * 2.0**-17) == "1.0000228881835938"
+    assert csv_rows([[1 + 2.0**-17]]) == "1.0000076293945312\n"
+    assert csv_rows([[1 + 3 * 2.0**-17]]) == "1.0000228881835938\n"
     assert_formats_match(ties)
     assert_formats_match(np.ldexp(ties, 60))  # the same ties in e-notation
     near = near_ties()
@@ -284,8 +291,7 @@ def test_format_floats_ties_and_near_ties():
 
 
 def test_format_floats_shapes():
-    assert format_floats(2.5).shape == ()
-    assert format_floats([[1.0, -0.0], [np.nan, 1e22]]).tolist() == [["1", "-0"], ["nan", "1e+22"]]
+    assert csv_rows([[1.0, -0.0], [np.nan, 1e22]]) == "1,-0\nnan,1e+22\n"
     text = csv_rows([[1.0, 0.5], [10.0, 2e-5]], [[False, True], [False, False]])
     assert text == "1,\n10,2.0000000000000002e-05\n"
 
@@ -298,7 +304,7 @@ def test_format_floats_shapes():
     [(3.0, 0.0, 0.01, "e-261"), (0.5, 2.9, 0.05, ",0,0,"), (10.0, -2.0, 0.05, ",10,-2,"),
      (-1.0, -0.5, 0.05, ",-1,-0.5,")],
 )
-@pytest.mark.parametrize("points", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("points", [1, 15, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_write_sweep_csv_matches_scalar_reference(J, B, t_min, feature, points):
     grid = temperature_grid(t_min, 100.0, points, "log") if points > 1 else np.array([t_min])
     text = written(J, B, grid)

@@ -54,12 +54,11 @@ def test_unknown_level_rejected():
         run_verification("exhaustive", seed=0)
 
 
-def test_corrupted_amplitudes_fail_saturation():
+def test_corrupted_amplitudes_fail_saturation(monkeypatch):
     # Deliberate sign flip in the second amplitude of the first memory state:
     # the overlap leaves the fidelity bound and the check must name the draw.
-    result = check_fidelity_saturation(
-        seed=42, draws=10, max_length=6, model_builder=_sign_flipped_builder
-    )
+    monkeypatch.setattr(verify, "build_quantum_model", _sign_flipped_builder)
+    result = check_fidelity_saturation(seed=42, draws=10, max_length=6)
     assert not result.passed
     assert "first counterexample at (J=" in result.detail
 
@@ -242,10 +241,13 @@ def _flip_where_cold(tm):
 @pytest.mark.parametrize("seed", [0, 7, 42, 123])
 @pytest.mark.parametrize("draws, max_length", [(1, 3), (31, 6), (33, 8), (100, 12)])
 @pytest.mark.parametrize("builder", [None, _sign_flipped_builder, _flip_where_cold])
-def test_fidelity_saturation_matches_draw_by_draw_loop(seed, draws, max_length, builder):
-    kwargs = {} if builder is None else {"model_builder": builder}
-    assert check_fidelity_saturation(seed, draws, max_length, **kwargs) == (
-        reference_fidelity_saturation(seed, draws, max_length, **kwargs)
+def test_fidelity_saturation_matches_draw_by_draw_loop(
+    monkeypatch, seed, draws, max_length, builder
+):
+    if builder is not None:
+        monkeypatch.setattr(verify, "build_quantum_model", builder)
+    assert check_fidelity_saturation(seed, draws, max_length) == (
+        reference_fidelity_saturation(seed, draws, max_length, verify.build_quantum_model)
     )
 
 
