@@ -37,7 +37,7 @@ def _validate(J, B, T) -> None:
     # or infinite J or B fail it too; the message waits for a failure.
     M, half = sys.float_info.max, 0.5 * abs(J) + 0.5 * abs(B)
     ok = (T > half / (M / 8)) & (T > 1.0 / (M / 4)) & (half <= M / 2)
-    if ok.all():
+    if ok.all() if ok.ndim else ok:  # a 0-d verdict skips numpy's reduction machinery
         return
     J, B, T, ok = np.broadcast_arrays(J, B, T, ok)
     finite = np.isfinite(J) & np.isfinite(B)
@@ -72,7 +72,7 @@ class IsingParams:
     def __post_init__(self):
         for name in ("J", "B", "T"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _validate(self.J, self.B, np.float64(self.T))  # numpy verdicts have .all()
+        _validate(self.J, self.B, np.float64(self.T))  # numpy verdicts have .ndim
 
     @property
     def beta(self) -> float:
@@ -136,8 +136,9 @@ def _solve(J, B, T) -> tuple[np.ndarray, np.ndarray]:
     a = np.exp(e00 - shift)
     d = np.exp(e11 - shift)
     c = np.exp(e01 - shift)
-    if (c == 0.0).any():
-        J, B, T = (float(x.flat[np.argmax(c == 0.0)]) for x in np.broadcast_arrays(J, B, T))
+    underflow = c == 0.0
+    if underflow.any() if underflow.ndim else underflow:
+        J, B, T = (float(x.flat[np.argmax(underflow)]) for x in np.broadcast_arrays(J, B, T))
         raise ValueError(
             "transfer matrix underflows double precision for these parameters "
             f"(J={J}, B={B}, T={T})"

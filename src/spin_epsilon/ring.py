@@ -7,7 +7,9 @@ handled in the log domain with a max-shift normalization so low temperatures
 do not underflow.
 
 Configurations are encoded as integers: bit k of a configuration is the
-symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).
+symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).  The table is
+one row of weights per class of high index half; marginals are ones-vector
+products, which BLAS sums in blocks where ``.sum(axis=...)`` adds row by row.
 """
 
 from __future__ import annotations
@@ -46,31 +48,41 @@ class RingEnsemble:
         return 2 * self.n_half + 1
 
 
+def _half_classes(bits: int):
+    """Bonds broken inside, down spins, bottom bit and top bit of every ``bits``-bit half."""
+    x = np.arange(2**bits)
+    inside = np.bitwise_count((x ^ (x >> 1)) & (2 ** (bits - 1) - 1))
+    return inside.astype(int), np.bitwise_count(x), x & 1, x >> (bits - 1)
+
+
 def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     """Boltzmann-weighted table over all configurations of a (2*n_half+1)-ring.
 
     H(c) = sum_k (-J * x_k * x_{k+1} - B * x_k) with indices mod the ring size.
-    The energy depends only on two popcounts, the broken bonds and the down
-    spins, so each configuration looks its weight up in an (m+1)x(m+1)
-    table over those classes; the max shift runs over the classes that occur.
+    The energy depends only on two counts, the broken bonds and the down
+    spins, so each configuration takes its weight from an (m+1)x(m+1) table
+    over those classes; the max shift runs over the classes that occur.  Both
+    counts add up over the low n_half + 1 index bits and the high n_half, with
+    the two bonds joining their end bits: each class of high half gathers one
+    row of weights over all low halves, and the table is one row per high half.
     """
     if not (isinstance(n_half, (int, np.integer)) and 1 <= n_half <= MAX_N_HALF):
         raise ValueError(f"n_half must be an integer in [1, {MAX_N_HALF}], got {n_half!r}")
     m = 2 * int(n_half) + 1
-    configs = np.arange(2**m, dtype=np.uint32)
-    rotated = (configs >> 1) | ((configs & 1) << (m - 1))
-    # x_k * x_{k+1} = 1 - 2 * (bit_k XOR bit_{k+1}); sum over k via popcount.
-    broken = np.bitwise_count(configs ^ rotated)
-    downs = np.bitwise_count(configs)
     k, d = np.ogrid[: m + 1, : m + 1]  # k broken bonds, d down spins
-    bond_sum = m - 2.0 * k
-    spin_sum = m - 2.0 * d
-    log_w = params.beta * (params.J * bond_sum + params.B * spin_sum)
+    log_w = params.beta * (params.J * (m - 2.0 * k) + params.B * (m - 2.0 * d))
     # A ring breaks an even number k of bonds.  With k > 0 it splits into k/2
     # runs of down spins and k/2 runs of up spins, each at least one spin
     # long; with k = 0 all spins agree.
     occurs = (k % 2 == 0) & (np.minimum(d, m - d) >= k // 2) & ((k > 0) | (d % m == 0))
-    probs = np.exp(log_w - log_w[occurs].max())[broken, downs]
+    weights = np.exp(log_w - log_w[occurs].max())
+    k_lo, d_lo, lo_bottom, lo_top = _half_classes(int(n_half) + 1)
+    k_hi, d_hi, hi_bottom, hi_top = _half_classes(int(n_half))
+    key = ((k_hi * (m + 1) + d_hi) * 2 + hi_bottom) * 2 + hi_top
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    k_c, d_c, bottom, top = (a[first, None] for a in (k_hi, d_hi, hi_bottom, hi_top))
+    rows = weights[k_c + k_lo + (lo_top ^ bottom) + (top ^ lo_bottom), d_c + d_lo]
+    probs = rows.take(inv, axis=0).ravel()
     probs /= probs.sum()
     return RingEnsemble(n_half=int(n_half), params=params, probs=probs)
 
@@ -92,24 +104,40 @@ def magnetization(ens: RingEnsemble) -> float:
     return 2.0 * up - 1.0
 
 
+def _colsum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 by a ones-vector product, which BLAS accumulates in blocks.
+
+    Rows are laid side by side up to 8 columns: OpenBLAS splits a 4-output
+    product over its threads and adds the parts, tying the bits to the count.
+    """
+    rows, cols = a.shape[-2:]
+    k = min(rows, max(1, 8 // cols))
+    wide = a.reshape(*a.shape[:-2], rows // k, k * cols)
+    return (np.ones(rows // k) @ wide).reshape(*a.shape[:-2], k, cols).sum(axis=-2)
+
+
+def _window(ens: RingEnsemble, length: int) -> np.ndarray:
+    """Joint law of sites 0..length, shape ``(2, 2**length)``: row = site 0's symbol."""
+    if not 1 <= length <= ens.n_half:
+        raise ValueError(f"length must be in [1, n_half={ens.n_half}], got {length}")
+    # Sites 0..L are the low index bits: summing the high ones leaves the window,
+    # and reversing its bit axes puts site 0 first (most significant).
+    window = _colsum(ens.probs.reshape(-1, 2 ** (length + 1)))
+    return window.reshape((2,) * (length + 1)).transpose().reshape(2, -1)
+
+
 def conditional_from_ring(
     ens: RingEnsemble, condition: int, length: int
 ) -> FutureDistribution:
     """Exact P(x_1 .. x_L | x_0 = condition) by marginalizing the ring table.
 
-    ``condition`` is the spin value at site 0 (+1 or -1).  ``length`` must
-    stay at or below n_half so the window keeps clear of the periodic wrap.
+    ``condition`` is the spin value at site 0 (+1 or -1); ``length`` <= n_half
+    keeps the window clear of the periodic wrap.  The other sites are summed by
+    a ones-vector product: BLAS adds in blocks, a strided sum row after row.
     """
     if condition not in (1, -1):
         raise ValueError(f"condition must be +1 or -1, got {condition}")
-    if not 1 <= length <= ens.n_half:
-        raise ValueError(f"length must be in [1, n_half={ens.n_half}], got {length}")
-    # Sites 0..L are the low index bits: summing the high ones leaves the window,
-    # and reversing its bit axes puts site 0 first (most significant).
-    window = ens.probs.reshape(-1, 2 ** (length + 1)).sum(axis=0)
-    joint = window.reshape((2,) * (length + 1)).transpose().ravel()
-    cond_index = 0 if condition == 1 else 1
-    block = joint[cond_index * 2**length : (cond_index + 1) * 2**length]
+    block = _window(ens, length)[0 if condition == 1 else 1]
     return FutureDistribution(length, block / block.sum())
 
 
@@ -157,12 +185,13 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
         )
     # Index bits, high to low: history sites m-L..m-1, the summed-out middle,
     # then x_1 and x_0.  History rows come out in reversed bit order, which
-    # the maximum over histories does not see.
-    blocks = ens.probs.reshape(2**length, -1, 2, 2).sum(axis=1)
+    # the maximum over histories does not see.  The middle is summed by a
+    # ones-vector product, blocked in BLAS where a strided sum adds row by row.
+    blocks = _colsum(ens.probs.reshape(2**length, -1, 4)).reshape(-1, 2, 2)
     joint = blocks.transpose(0, 2, 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1
     cond_full = joint / joint.sum(axis=1, keepdims=True)
 
-    pair = ens.probs.reshape(-1, 2, 2).sum(axis=0).T  # rows = x_0, cols = x_1
+    pair = blocks.sum(axis=0).T  # rows = x_0, cols = x_1
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
 
     x0 = np.arange(joint.shape[0]) & 1

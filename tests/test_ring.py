@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import spin_epsilon
 
 from spin_epsilon import (
     IsingParams,
@@ -16,7 +22,9 @@ from spin_epsilon import (
 )
 
 MAGNETIZATION_GOLDEN = 0.3787617890000907  # (J=1, B=0.3, T=2), n_half=6
-MARKOV_GAP_GOLDEN = 5.154165866327887e-07  # (J=1, B=0.3, T=2), n_half=10, L=3
+# (J=1, B=0.3, T=2), n_half=10, L=3: the gap of the ring table computed with
+# math.fsum block sums (see reference_markov_gap), correctly rounded sums.
+MARKOV_GAP_GOLDEN = 5.154163242870879e-07
 
 
 def test_zero_hamiltonian_is_uniform():
@@ -112,7 +120,7 @@ def test_markov_gap_decreases_with_ring_size(ring_cache):
 def test_markov_gap_golden(ring_cache):
     gap = markov_gap(ring_cache(1.0, 0.3, 2.0, 10), 3)
     assert gap < 1e-5
-    assert abs(gap - MARKOV_GAP_GOLDEN) < 1e-12
+    assert abs(gap - MARKOV_GAP_GOLDEN) < 5e-14
 
 
 @pytest.mark.parametrize("n_half", [0, 11, -1])
@@ -138,6 +146,13 @@ def test_non_integral_ring_size_rejected():
     assert enumerate_ring(IsingParams(1.0, 0.3, 2.0), np.int64(2)).size == 5
 
 
+@pytest.mark.parametrize("n_half", [1, 2, 7, 10])
+def test_numpy_integer_ring_size_gives_the_same_table(n_half):
+    params = IsingParams(-1.0, 0.5, 0.7)
+    expected = enumerate_ring(params, n_half).probs.tobytes()
+    assert enumerate_ring(params, np.int64(n_half)).probs.tobytes() == expected
+
+
 def reference_ring_probs(params, n_half):
     """Per-configuration Boltzmann weights: each configuration's own bond and
     spin sums, log-weight and exponential, max-shifted over all of them."""
@@ -152,11 +167,18 @@ def reference_ring_probs(params, n_half):
     return probs / probs.sum()
 
 
-@pytest.mark.parametrize("n_half", [1, 3, 10])
+# The low/high half split of the index moves with n_half, so every size is
+# covered by at least two points; sizes 1, 3 and 10 take every point.
+_CLASS_POINTS = [(1.0, 0.3, math.inf), (3.0, 0.0, 0.05), (-3.0, 0.0, 0.05), (-3.0, 0.4, 0.05),
+                 (1.0, 0.0, 1.0), (0.7, -0.4, 2.5), (0.0, 1.3, 0.2)]
+
+
 @pytest.mark.parametrize(
-    "J, B, T",
-    [(1.0, 0.3, math.inf), (3.0, 0.0, 0.05), (-3.0, 0.0, 0.05), (-3.0, 0.4, 0.05),
-     (1.0, 0.0, 1.0), (0.7, -0.4, 2.5), (0.0, 1.3, 0.2)],
+    "J, B, T, n_half",
+    [(*point, n_half) for n_half in (1, 3, 10) for point in _CLASS_POINTS]
+    + [(*point, n_half) for n_half in (2, 4, 5, 6, 7, 8, 9)
+       for point in ((1.0, 0.3, 2.0), (-3.0, 0.4, 0.05))]
+    + [(1.0, 0.3, 2.0, n_half) for n_half in (1, 3, 10)],
 )
 def test_energy_class_weights_bit_identical_to_per_configuration(J, B, T, n_half):
     params = IsingParams(J, B, T)
@@ -184,3 +206,74 @@ def test_folded_site_marginals_match_per_site_sums(J, B, T, n_half):
     reference, folded = reference_site_marginals(ens), site_marginals(ens)
     assert np.all(np.abs(folded - reference) <= 16 * np.spacing(reference))
     assert np.ptp(folded) <= max(np.ptp(reference), 4 * np.spacing(reference[0]))
+
+
+def fsum_middle(a):
+    """Correctly rounded sums over axis 1 of a 3-D array, by math.fsum."""
+    columns = a.transpose(0, 2, 1).reshape(-1, a.shape[1]).tolist()
+    return np.array([math.fsum(c) for c in columns]).reshape(a.shape[0], a.shape[2])
+
+
+def reference_conditional(fine, condition, length):
+    """conditional_from_ring from ``fine``, the fsum window of the ring's low
+    n_half + 1 bits: its entries carry relative errors below 2**-53, so a
+    further fsum over them stays within about one ulp of the exact window."""
+    window = fsum_middle(fine.reshape(1, -1, 2 ** (length + 1)))[0]
+    block = window.reshape((2,) * (length + 1)).transpose().reshape(2, -1)
+    block = block[0 if condition == 1 else 1]
+    return block / math.fsum(block)
+
+
+def reference_markov_gap(ens, length):
+    """markov_gap with every block and pair marginal summed by math.fsum."""
+    blocks = fsum_middle(ens.probs.reshape(2**length, -1, 4)).reshape(-1, 2, 2)
+    joint = blocks.transpose(0, 2, 1).reshape(-1, 2)
+    cond_full = joint / joint.sum(axis=1, keepdims=True)
+    pair = fsum_middle(blocks.reshape(1, -1, 4))[0].reshape(2, 2).T
+    cond_pair = pair / pair.sum(axis=1, keepdims=True)
+    x0 = np.arange(joint.shape[0]) & 1
+    return float(np.max(np.abs(cond_full - cond_pair[x0])))
+
+
+@pytest.mark.parametrize(
+    "J, B, T, max_ulps",
+    # Worst entry over L = 1, 3, 5, 10 and both conditions, in ulps of the
+    # fsum reference: a strided row-by-row sum measures 32 647, 161 211 and
+    # 12 797; the ones-vector product 1 594, 18 522 and 2 403.
+    [(1.0, 0.3, 2.0, 8000), (1.0, 0.0, 1.0, 60000), (-1.0, 0.5, 0.7, 6000)],
+)
+def test_ring_reductions_match_fsum_reference(ring_cache, J, B, T, max_ulps):
+    ens = ring_cache(J, B, T, 10)
+    fine = fsum_middle(ens.probs.reshape(1, -1, 2**11))[0]
+    for length in (1, 3, 5, 10):
+        for condition in (1, -1):
+            got = conditional_from_ring(ens, condition, length).probs
+            ref = reference_conditional(fine, condition, length)
+            assert np.all(np.abs(got - ref) <= max_ulps * np.spacing(ref)), (length, condition)
+    # Relative gap error at (1, 0.3, 2): 5.1e-7 for the strided sum, 1.0e-8 here.
+    reference = reference_markov_gap(ens, 3)
+    assert abs(markov_gap(ens, 3) - reference) <= 1e-7 * reference
+
+
+def test_ring_reductions_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a 4-output product over its threads and adds the parts;
+    # the window and gap reductions must give the same bits at any count.
+    code = (
+        "import hashlib; from spin_epsilon import *\n"
+        "ens = enumerate_ring(IsingParams(1.0, 0.3, 2.0), 10)\n"
+        "h = hashlib.sha256()\n"
+        "for L in range(1, 11): h.update(conditional_from_ring(ens, 1, L).probs.tobytes())\n"
+        "for L in range(1, 10): h.update(repr(markov_gap(ens, L)).encode())\n"
+        "print(h.hexdigest())"
+    )
+    path = os.pathsep.join(
+        filter(None, [str(Path(spin_epsilon.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    digests = set()
+    for threads in ("1", "4"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
