@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import spin_epsilon
-
 from spin_epsilon import (
     IsingParams,
     conditional_from_ring,
@@ -22,8 +21,8 @@ from spin_epsilon import (
 )
 
 MAGNETIZATION_GOLDEN = 0.3787617890000907  # (J=1, B=0.3, T=2), n_half=6
-# (J=1, B=0.3, T=2), n_half=10, L=3: the gap of the ring table computed with
-# math.fsum block sums (see reference_markov_gap), correctly rounded sums.
+# (J=1, B=0.3, T=2), n_half=10, L=3, every block summed by math.fsum
+# (reference_markov_gap).
 MARKOV_GAP_GOLDEN = 5.154163242870879e-07
 
 
