@@ -17,10 +17,14 @@ draws; one walk then covers every run, one (draw, start) pair per grid row,
 and the enumeration results come back per draw.  The memory is always the
 collapsed ancilla amplitude, renormalized, never set to the expected state
 directly: synchronization with the encoding is what
-``assert_synchronization`` checks.  The sampler walks a single seeded branch
-in one scan shared with the classical sampler.  All state vectors are real:
-the canonical amplitude gauge never produces a complex phase.  Branch
-enumeration is read-only over shared inputs; the sampler owns its RNG.
+``assert_synchronization`` checks.  Each run's squared weights must sum to
+one within 1e-12 at every depth, as ``math.fsum`` decides: one two-level
+array sum per depth, whose error bound clears every healthy run, sends only
+the runs it cannot clear (and NaN) to fsum.  The sampler walks a single
+seeded branch in one scan shared with the classical sampler.  All state
+vectors are real: the canonical amplitude gauge never produces a complex
+phase.  Branch enumeration is read-only over shared inputs; the sampler owns
+its RNG.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .classical import MAX_TABLE_LENGTH, scan_states
+from .classical import BIT_PAIRS, MAX_TABLE_LENGTH, scan_states
 from .distribution import FutureDistribution, symbol_string
 from .quantum import QuantumModel
 
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 MAX_DEPTH = MAX_TABLE_LENGTH  # a depth-L layer is one 2**L record table per run
+_BLOCK = 1024  # first-level block of the normalization sums: slack <= 4.6e-13 at MAX_DEPTH
 
 _KET0 = np.array([1.0, 0.0])
 
@@ -131,7 +136,8 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     squared row norms.  Branch h's outcome k becomes record 2h + k of the
     next layer.  With leading axes on ``su``, each draw is one run from
     ``start``, one grid row in C order.  Every run's squared branch weights
-    sum to one at every depth (checked exactly).
+    sum to one at every depth: a run whose ``math.fsum`` total is not within
+    1e-12 of one raises ``RuntimeError`` (see ``_check_normalization``).
     """
     if not 1 <= length <= MAX_DEPTH:
         raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
@@ -143,7 +149,7 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
         # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j], built column by
         # column so that every inner loop runs over branches.
         joint = np.empty(layer.memory.shape + (2,))
-        for k, j in np.ndindex(2, 2):
+        for k, j in BIT_PAIRS:
             np.multiply(layer.memory[..., k], pair[:, k, j, None], out=joint[..., k, j])
         squares = joint * joint
         root = np.sqrt(squares[..., 0] + squares[..., 1])
@@ -153,16 +159,35 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
         for j in (0, 1):
             np.divide(joint[..., j], root, out=memory[..., j], where=root != 0)
         layer = BranchLayer(weight, memory)
-        # fsum reads a memoryview as Python floats, twice as fast as an array.
-        norms, width = memoryview((weight * weight).ravel()), weight.shape[1]
-        for lo in range(0, weight.size, width):
-            total = math.fsum(norms[lo : lo + width])
-            if abs(total - 1.0) > 1e-12:
-                raise RuntimeError(
-                    f"branch weights lost normalization at depth {depth}: "
-                    f"sum of squares = {total!r}"
-                )
+        _check_normalization(weight * weight, depth)
         yield layer
+
+
+def _check_normalization(squares: np.ndarray, depth: int) -> None:
+    """Raise unless every row of ``squares`` has a ``math.fsum`` total within
+    1e-12 of one, naming the first failing row's total.
+
+    Any order of adding n non-negative doubles lands within about
+    (n - 1) u S of their exact sum S, u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2).  Blocks of b, then
+    the block sums, stay within about (b + n/b - 2) u S, and ``slack`` is
+    over twice that: a row whose two-level sum clears 1e-12 by ``slack`` has
+    a correctly rounded total inside the bound too.  Only the rows it does
+    not clear, NaN among them, are summed by fsum, which decides them.
+    """
+    runs, width = squares.shape
+    block = min(width, _BLOCK)
+    sums = squares.reshape(runs, -1, block).sum(axis=2).sum(axis=1)
+    slack = (block + width // block) * 2.0**-52 * sums
+    # fsum reads a memoryview as Python floats, twice as fast as an array.
+    rows = memoryview(squares.ravel())
+    for run in np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12 - slack)).tolist():
+        total = math.fsum(rows[run * width : (run + 1) * width])
+        if not abs(total - 1.0) <= 1e-12:
+            raise RuntimeError(
+                f"branch weights lost normalization at depth {depth}: "
+                f"sum of squares = {total!r}"
+            )
 
 
 def exact_output_distribution(

@@ -89,13 +89,19 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
 
 def site_marginals(ens: RingEnsemble) -> np.ndarray:
     """P(spin = +1) at every site (identical across sites by symmetry)."""
-    # The top index bit is the last site left: its spin +1 half is the lower
-    # half of the table, and adding the halves folds that site away.
-    marginals, table = np.empty(ens.size), ens.probs
-    for k in range(ens.size - 1, -1, -1):
-        half = len(table) // 2
-        marginals[k], table = table[:half].sum(), table[:half] + table[half:]
-    return marginals
+    # Sites 0..n_half are the low index bits, the others the high ones; a
+    # site's marginal sums its half's joint law over the entries with its bit
+    # 0.  The high law adds each contiguous row pairwise.  The low law adds
+    # the rows in two ones-vector products of about sqrt(rows) terms each:
+    # one product over all rows drifts by tens of ulps on the repeated
+    # class weights.
+    table = ens.probs.reshape(2**ens.n_half, -1)
+    split = 2 ** (ens.n_half // 2)
+    low = _colsum(_colsum(table.reshape(split, -1)).reshape(-1, table.shape[1]))
+    return np.array(
+        [law.reshape(-1, 2, 2**k)[:, 0].sum()
+         for law in (low, table.sum(axis=1)) for k in range(len(law).bit_length() - 1)]
+    )
 
 
 def magnetization(ens: RingEnsemble) -> float:
@@ -176,8 +182,9 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
     """Worst-case extra predictive power of history beyond the last symbol.
 
     Returns max over histories of |P(x_1 | x_0, x_{-1} .. x_{-L}) - P(x_1 | x_0)|,
-    which is exactly zero for the infinite chain and quantifies the finite
-    ring's wrap-around deviation from the Markov property.
+    taken over the histories of positive probability, which is exactly zero
+    for the infinite chain and quantifies the finite ring's wrap-around
+    deviation from the Markov property.
     """
     if not 1 <= length <= ens.n_half - 1:
         raise ValueError(
@@ -189,10 +196,13 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
     # ones-vector product, blocked in BLAS where a strided sum adds row by row.
     blocks = _colsum(ens.probs.reshape(2**length, -1, 4)).reshape(-1, 2, 2)
     joint = blocks.transpose(0, 2, 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1
-    cond_full = joint / joint.sum(axis=1, keepdims=True)
+    totals = joint.sum(axis=1)
+    # A history whose weight underflowed to 0 (deep in an ordered phase)
+    # cannot occur and has no conditional law: the maximum skips it.
+    occurs = np.flatnonzero(totals > 0)
+    cond_full = joint[occurs] / totals[occurs, None]
 
     pair = blocks.sum(axis=0).T  # rows = x_0, cols = x_1
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
 
-    x0 = np.arange(joint.shape[0]) & 1
-    return float(np.max(np.abs(cond_full - cond_pair[x0])))
+    return float(np.max(np.abs(cond_full - cond_pair[occurs & 1])))

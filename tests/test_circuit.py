@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_epsilon import (
     IsingParams,
@@ -151,6 +153,114 @@ def test_normalization_guard_rejects_non_unitary_step(start, total):
             next(branch_layers(case, start, 4))
         with pytest.raises(RuntimeError, match=message):
             exact_output_distribution(case, start, 4)
+
+
+def reference_guard_message(squares, depth):
+    """The plain guard: math.fsum over every row in turn; the first row whose
+    total is not within 1e-12 of one (NaN included) names the error."""
+    for row in squares.tolist():
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= 1e-12:
+            return (
+                f"branch weights lost normalization at depth {depth}: "
+                f"sum of squares = {total!r}"
+            )
+    return None
+
+
+def guard_message(squares, depth):
+    try:
+        circuit._check_normalization(squares, depth)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def assert_guard_matches_fsum(squares, depth=7):
+    """Same rows raise, alone and stacked, with the same message."""
+    for row in squares:
+        assert guard_message(row[None], depth) == reference_guard_message(row[None], depth)
+    assert guard_message(squares, depth) == reference_guard_message(squares, depth)
+
+
+def row_with_total(row, total):
+    """``row`` (non-negative) rescaled so that its fsum total is ``total``: its
+    largest entry below 0.5 takes up the rest, on a grid finer than half an
+    ulp of ``total``."""
+    row = row * (total / row.sum())
+    i = np.where(row < 0.5, row, -1.0).argmax()
+    row[i] = 0.0
+    row[i] = math.fsum([total, *(-row).tolist()])
+    assert row[i] >= 0.0 and math.fsum(row) == total
+    return row
+
+
+def totals_near_bound(steps):
+    """1 +- 1e-12 moved by each of ``steps`` ulps: both sides of both bounds."""
+    return [
+        float(x)
+        for bound in (1.0 - 1e-12, 1.0 + 1e-12)
+        for x in bound + np.spacing(bound) * np.asarray(steps, dtype=float)
+    ]
+
+
+def test_normalization_guard_matches_fsum_at_the_bound():
+    rng = np.random.default_rng(71)
+    totals = totals_near_bound(range(-4, 5))
+    for width in (1, 2, 8, 1024, 2**12):
+        rows = np.array([row_with_total(rng.random(width), t) for t in totals])
+        assert_guard_matches_fsum(rows)
+    # The bound itself sits between two doubles: both sides are decided.
+    messages = [guard_message(row_with_total(np.ones(4), t)[None], 7) for t in totals]
+    assert None in messages and any(m is not None for m in messages)
+
+
+def test_normalization_guard_matches_fsum_where_numpy_sum_differs():
+    # One large entry and 2**16 - 1 entries below half its ulp: np.sum drops
+    # some of the small ones, fsum keeps them all.
+    rows = np.full((18, 2**16), 2.0**-56)
+    rest = (2**16 - 1) * 2.0**-56  # exact
+    rows[:, 0] = [t - rest for t in totals_near_bound(range(-4, 5))]
+    assert [math.fsum(row) for row in rows] == totals_near_bound(range(-4, 5))
+    assert any(float(np.sum(row)) != math.fsum(row) for row in rows)
+    assert_guard_matches_fsum(rows)
+
+
+def test_normalization_guard_rejects_nan_and_names_the_first_failing_run():
+    rng = np.random.default_rng(73)
+    good = [row_with_total(rng.random(2**10), 1.0) for _ in range(3)]
+    nan_row = good[0].copy()
+    nan_row[5] = np.nan
+    late = row_with_total(rng.random(2**10), 1.0 + 2e-12)
+    for rows in ([*good, nan_row], [*good, late], [*good, late, nan_row], [nan_row, late]):
+        assert_guard_matches_fsum(np.array(rows))
+    message = "branch weights lost normalization at depth 7: sum of squares = "
+    assert guard_message(np.array([*good, late, nan_row]), 7) == message + repr(math.fsum(late))
+    assert guard_message(np.array([*good, nan_row]), 7) == message + "nan"
+    # Through the public route, a NaN rotation raises instead of giving a table of NaN.
+    nan_step = circuit.StepUnitaries(
+        v=np.full((2, 2), np.nan), u=np.eye(2), theta0=0.0, theta1=0.0
+    )
+    message = "branch weights lost normalization at depth 1: sum of squares = nan"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        exact_output_distribution(nan_step, 0, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 16),
+    st.integers(0, 2**32 - 1),
+    st.floats(1.0, 60.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(-2**14, 2**14),
+)
+def test_normalization_guard_matches_fsum_property(log_width, seed, skew, side, steps):
+    # Skewed entries spread over many binades; the offsets reach past the
+    # guard's slack (2**11 ulps at width 2**20) on both sides of both bounds.
+    row = np.random.default_rng(seed).random(2**log_width) ** skew
+    bound = 1.0 + side * 1e-12
+    total = float(bound + steps * np.spacing(bound))
+    assert_guard_matches_fsum((row * (total / row.sum()))[None])
 
 
 def test_branch_memory_must_stay_one_qubit():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,14 +225,16 @@ def reference_conditional(fine, condition, length):
 
 
 def reference_markov_gap(ens, length):
-    """markov_gap with every block and pair marginal summed by math.fsum."""
+    """markov_gap with every block and pair marginal summed by math.fsum,
+    over the histories whose fsum weight is positive."""
     blocks = fsum_middle(ens.probs.reshape(2**length, -1, 4)).reshape(-1, 2, 2)
     joint = blocks.transpose(0, 2, 1).reshape(-1, 2)
-    cond_full = joint / joint.sum(axis=1, keepdims=True)
+    totals = joint.sum(axis=1)  # two terms: correctly rounded, as by fsum
+    occurs = np.flatnonzero(totals > 0)
+    cond_full = joint[occurs] / totals[occurs, None]
     pair = fsum_middle(blocks.reshape(1, -1, 4))[0].reshape(2, 2).T
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
-    x0 = np.arange(joint.shape[0]) & 1
-    return float(np.max(np.abs(cond_full - cond_pair[x0])))
+    return float(np.max(np.abs(cond_full - cond_pair[occurs & 1])))
 
 
 @pytest.mark.parametrize(
@@ -254,15 +257,30 @@ def test_ring_reductions_match_fsum_reference(ring_cache, J, B, T, max_ulps):
     assert abs(markov_gap(ens, 3) - reference) <= 1e-7 * reference
 
 
+def test_markov_gap_skips_histories_that_cannot_occur(ring_cache):
+    # At J = -3, T = 0.05 each pair of aligned neighbours costs 120 in log
+    # weight: from L = 6 on some histories underflow to 0, and their 0/0 rows
+    # made the gap NaN.
+    ens = ring_cache(-3.0, 0.4, 0.05, 10)
+    for length in range(1, 10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = markov_gap(ens, length)
+        reference = reference_markov_gap(ens, length)
+        assert math.isfinite(gap) and abs(gap - reference) <= 1e-12 * reference, length
+
+
 def test_ring_reductions_do_not_depend_on_blas_threads():
     # OpenBLAS splits a 4-output product over its threads and adds the parts;
-    # the window and gap reductions must give the same bits at any count.
+    # the window, gap and site-marginal reductions must give the same bits at
+    # any count.
     code = (
         "import hashlib; from spin_epsilon import *\n"
         "ens = enumerate_ring(IsingParams(1.0, 0.3, 2.0), 10)\n"
         "h = hashlib.sha256()\n"
         "for L in range(1, 11): h.update(conditional_from_ring(ens, 1, L).probs.tobytes())\n"
         "for L in range(1, 10): h.update(repr(markov_gap(ens, L)).encode())\n"
+        "h.update(site_marginals(ens).tobytes())\n"
         "print(h.hexdigest())"
     )
     path = os.pathsep.join(
