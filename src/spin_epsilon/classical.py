@@ -96,8 +96,9 @@ def future_distribution(
     return FutureDistribution(length, probs)
 
 
-def classical_fidelity(tm: TransitionMatrix, length: int) -> float:
-    """Bhattacharyya fidelity between the two conditional future tables.
+def classical_fidelity(tm: TransitionMatrix, length: int) -> float | np.ndarray:
+    """Bhattacharyya fidelity between the two conditional future tables: a
+    float, or an array over the leading axes of a stacked ``tm``.
 
     sum over length-L strings of sqrt(P(x|s0) * P(x|s1)).  Telescoping of the
     unifilar chain makes this independent of L, equal to
@@ -106,7 +107,8 @@ def classical_fidelity(tm: TransitionMatrix, length: int) -> float:
     """
     d0 = future_distribution(tm, 0, length)
     d1 = future_distribution(tm, 1, length)
-    return float(np.sum(np.sqrt(d0.probs * d1.probs)))
+    fidelity = np.sum(np.sqrt(d0.probs * d1.probs), axis=-1)
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
 def scan_states(q0: float, q1: float, start: int, draws: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ do not underflow.
 
 Configurations are encoded as integers: bit k of a configuration is the
 symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).  The table is
-one row of weights per class of high index half; marginals are ones-vector
-products, which BLAS sums in blocks where ``.sum(axis=...)`` adds row by row.
+one row of weights per class of high index half.  Sums of table rows go
+through :func:`_colsum`; sums of 1-D runs (a row, every other entry) are
+numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -91,16 +92,11 @@ def site_marginals(ens: RingEnsemble) -> np.ndarray:
     """P(spin = +1) at every site (identical across sites by symmetry)."""
     # Sites 0..n_half are the low index bits, the others the high ones; a
     # site's marginal sums its half's joint law over the entries with its bit
-    # 0.  The high law adds each contiguous row pairwise.  The low law adds
-    # the rows in two ones-vector products of about sqrt(rows) terms each:
-    # one product over all rows drifts by tens of ulps on the repeated
-    # class weights.
+    # 0.  The high law adds each contiguous row pairwise.
     table = ens.probs.reshape(2**ens.n_half, -1)
-    split = 2 ** (ens.n_half // 2)
-    low = _colsum(_colsum(table.reshape(split, -1)).reshape(-1, table.shape[1]))
     return np.array(
         [law.reshape(-1, 2, 2**k)[:, 0].sum()
-         for law in (low, table.sum(axis=1)) for k in range(len(law).bit_length() - 1)]
+         for law in (_colsum(table), table.sum(axis=1)) for k in range(len(law).bit_length() - 1)]
     )
 
 
@@ -111,15 +107,20 @@ def magnetization(ens: RingEnsemble) -> float:
 
 
 def _colsum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 by a ones-vector product, which BLAS accumulates in blocks.
+    """Sum the 2**r rows of a 2-D array in two ones-vector products.
 
-    Rows are laid side by side up to 8 columns: OpenBLAS splits a 4-output
-    product over its threads and adds the parts, tying the bits to the count.
+    The first adds 2**(r // 2) equal slices of the rows, the second the rows
+    of their sum: one product over all rows drifts by thousands of ulps on the
+    repeated class weights.  The second lays rows side by side up to 8
+    columns: OpenBLAS splits a 4-output product over its threads and adds the
+    parts, tying the bits to the count.
     """
-    rows, cols = a.shape[-2:]
-    k = min(rows, max(1, 8 // cols))
-    wide = a.reshape(*a.shape[:-2], rows // k, k * cols)
-    return (np.ones(rows // k) @ wide).reshape(*a.shape[:-2], k, cols).sum(axis=-2)
+    rows, cols = a.shape
+    split = 2 ** ((rows.bit_length() - 1) // 2)
+    blocks = (np.ones(split) @ a.reshape(split, -1)).reshape(-1, cols)
+    k = min(len(blocks), max(1, 8 // cols))
+    wide = blocks.reshape(-1, k * cols)
+    return (np.ones(len(wide)) @ wide).reshape(k, cols).sum(axis=0)
 
 
 def _window(ens: RingEnsemble, length: int) -> np.ndarray:
@@ -138,8 +139,7 @@ def conditional_from_ring(
     """Exact P(x_1 .. x_L | x_0 = condition) by marginalizing the ring table.
 
     ``condition`` is the spin value at site 0 (+1 or -1); ``length`` <= n_half
-    keeps the window clear of the periodic wrap.  The other sites are summed by
-    a ones-vector product: BLAS adds in blocks, a strided sum row after row.
+    keeps the window clear of the periodic wrap.
     """
     if condition not in (1, -1):
         raise ValueError(f"condition must be +1 or -1, got {condition}")
@@ -190,19 +190,16 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
         raise ValueError(
             f"length must be in [1, n_half-1={ens.n_half - 1}], got {length}"
         )
-    # Index bits, high to low: history sites m-L..m-1, the summed-out middle,
-    # then x_1 and x_0.  History rows come out in reversed bit order, which
-    # the maximum over histories does not see.  The middle is summed by a
-    # ones-vector product, blocked in BLAS where a strided sum adds row by row.
-    blocks = _colsum(ens.probs.reshape(2**length, -1, 4)).reshape(-1, 2, 2)
-    joint = blocks.transpose(0, 2, 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1
+    # Each weight is looked up by its rotation-invariant class, so sites
+    # 0..L+1 hold the exact law of L history sites, then x_0, then x_1.
+    joint = _window(ens, length + 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1
     totals = joint.sum(axis=1)
     # A history whose weight underflowed to 0 (deep in an ordered phase)
     # cannot occur and has no conditional law: the maximum skips it.
     occurs = np.flatnonzero(totals > 0)
     cond_full = joint[occurs] / totals[occurs, None]
 
-    pair = blocks.sum(axis=0).T  # rows = x_0, cols = x_1
+    pair = _colsum(joint.reshape(-1, 4)).reshape(2, 2)  # rows = x_0, cols = x_1
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
 
     return float(np.max(np.abs(cond_full - cond_pair[occurs & 1])))

@@ -122,6 +122,18 @@ def test_fidelity_constant_in_length_and_matches_closed_form():
         assert all(abs(v - closed) < 1e-10 for v in values)
 
 
+def test_fidelity_of_stacked_draws_equals_single_calls():
+    # Each draw sums over its own tables only: a sum over the whole stack
+    # exceeds 1, which no fidelity can.
+    tms = [transition_matrix(IsingParams(1.0, 0.3, T)) for T in (0.2, 0.5, 1.0, 2.0, 5.0, 20.0)]
+    stacked = TransitionMatrix(t=np.stack([tm.t for tm in tms]), p=np.stack([tm.p for tm in tms]))
+    for length in range(1, 13):
+        got = classical_fidelity(stacked, length)
+        assert got.shape == (6,)
+        assert got.tolist() == [classical_fidelity(tm, length) for tm in tms]
+    assert isinstance(classical_fidelity(tms[0], 3), float)
+
+
 def test_complexity_monotone_in_temperature():
     values = [
         statistical_complexity(transition_matrix(IsingParams(1.0, 0.3, t / 10.0)))
