@@ -3,7 +3,7 @@
 Subcommands: ``complexity``, ``sweep``, ``simulate``, ``tmax``, ``verify``.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (or a violated internal invariant), 2 usage error (also
-a failed write to stdout or ``--out``).
+a failed write to stdout or ``--out``, or an array too large to allocate).
 
 Each option is declared once, in :data:`OPTIONS`: its type, default, allowed
 values and help.  :data:`COMMANDS` names the options each subcommand takes;
@@ -34,7 +34,7 @@ from .circuit import build_step_unitaries, sample_quantum_trajectory
 from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
 from .quantum import build_quantum_model, find_tmax
-from .sweep import compute_row, sweep_table, temperature_grid, write_sweep
+from .sweep import CSV_HEADER, compute_row, sweep_table, temperature_grid, write_sweep
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -161,7 +161,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             write_sweep(handle, table, args.format)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from None
-    T, c_q = table[np.argmax(table[:, -1]), [0, -1]].tolist()  # C_q's first maximum
+    col = CSV_HEADER.split(",").index("C_q_bits")
+    T, c_q = table[np.argmax(table[:, col]), [0, col]].tolist()  # C_q's first maximum
     print(json.dumps({"points": len(table), "out": out, "cq_argmax_T": T, "cq_max_bits": c_q}))
     return EXIT_OK
 
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)  # ``> /dev/full``
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

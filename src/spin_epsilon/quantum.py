@@ -215,8 +215,8 @@ def find_tmax(
     lo, hi = t_range
     if not 0.0 < lo < hi < np.inf:  # also rejects NaN
         raise ValueError(f"t_range must satisfy 0 < lo < hi < inf, got {t_range}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     grid = np.logspace(np.log10(lo), np.log10(hi), 101)
     grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
     stats = complexity(J, B, grid)

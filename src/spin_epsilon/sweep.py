@@ -1,14 +1,17 @@
 """Parameter sweeps over temperature with CSV/JSON serialization.
 
 A whole sweep is one closed-form array evaluation (:func:`quantum.complexity`)
-over the temperature grid: one float64 table in CSV column order, written as
-CSV (through the array formatter :func:`distribution.csv_rows`) or JSON in
-chunks of rows.  Each row depends on (J, B, T) alone, so sweeps are
-reproducible byte-for-byte and a single point equals the same point alone.
+over the temperature grid: one float64 table of all 13 CSV columns, written
+as CSV (through the array formatter :func:`distribution.csv_rows`) or JSON in
+chunks of rows.  Its ratio cell is NaN where C_q < ``RATIO_FLOOR``: blank in
+CSV, null in JSON, None in a :class:`SweepRow`.  Each row depends on (J, B, T)
+alone, so sweeps are reproducible byte-for-byte and a single point equals the
+same point alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +37,8 @@ _KEYS = CSV_HEADER.split(",")
 RATIO_FLOOR = 1e-12
 CHUNK = 1024  # rows rendered per write: no whole-file string, little scratch memory
 # One JSON object per row, laid out exactly as json.dump(..., indent=2): %r is
-# the float repr json writes, and the ratio cell comes last as text.
-_JSON_ROW = ("  {\n" + "".join(f'    "{key}": %r,\n' for key in _KEYS[:-1])
-             + '    "ratio": %s\n  }')
+# the float repr json writes.  The ratio comes last; its NaN becomes null.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %r' for key in _KEYS) + "\n  }"
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ def temperature_grid(
 
 
 def sweep_table(J: float, B: float, grid) -> np.ndarray:
-    """Every grid point (a scalar is one point) as a float64 row of the 12 numeric CSV
-    columns.  Aborts naming the first T where C_q > C_mu beyond round-off: a construction bug."""
+    """Every grid point (a scalar is one point) as a float64 row of the 13 CSV columns;
+    the ratio C_mu / C_q is NaN where C_q < RATIO_FLOOR.  Aborts naming the first T
+    where C_q > C_mu beyond round-off: a construction bug."""
     temperatures = np.asarray(grid, dtype=float)
     stats = complexity(J, B, temperatures)  # the grid's own shape: 0-d is cheapest
     T, c_mu, c_q = (x.reshape(-1) for x in (temperatures, stats.c_mu, stats.c_q))
@@ -96,32 +99,19 @@ def sweep_table(J: float, B: float, grid) -> np.ndarray:
             f"C_q={c_q!r} exceeds C_mu={c_mu!r}"
         )
     n = T.size
-    table = np.empty((n, 12))  # filled in place: cheaper than stacking for one point
+    table = np.empty((n, 13))  # filled in place: cheaper than stacking for one point
     table[:, 0], table[:, 1], table[:, 2] = T, J, B
     table[:, 3:5], table[:, 5:9] = stats.p.reshape(n, 2), stats.t.reshape(n, 4)
     table[:, 9], table[:, 10], table[:, 11] = stats.overlap.reshape(n), c_mu, c_q
+    table[:, 12] = np.nan  # kept where the division is skipped
+    np.divide(c_mu, c_q, out=table[:, 12], where=c_q >= RATIO_FLOOR)
     return table
-
-
-def _csv_cells(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 13 CSV columns of table rows, and where a cell is blank: the ratio
-    C_mu / C_q below RATIO_FLOOR."""
-    cells = np.zeros((len(table), 13))
-    cells[:, :12] = table
-    blank = np.zeros(cells.shape, dtype=bool)
-    blank[:, 12] = table[:, 11] < RATIO_FLOOR
-    np.divide(table[:, 10], table[:, 11], out=cells[:, 12], where=~blank[:, 12])
-    return cells, blank
-
-
-def _rows(table: np.ndarray) -> list[list]:
-    """Table rows as Python floats, each with its ratio cell (None below RATIO_FLOOR)."""
-    return [[*r, r[-2] / r[-1] if r[-1] >= RATIO_FLOOR else None] for r in table.tolist()]
 
 
 def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
     """:func:`sweep_table` as one :class:`SweepRow` per grid point."""
-    return [SweepRow(*row) for row in _rows(sweep_table(J, B, grid))]
+    return [SweepRow(*row[:12], None if math.isnan(row[12]) else row[12])
+            for row in sweep_table(J, B, grid).tolist()]
 
 
 def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
@@ -130,13 +120,12 @@ def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
     if fmt == "csv":
         handle.write(CSV_HEADER + "\n")
         for chunk in chunks:
-            handle.write(csv_rows(*_csv_cells(chunk)))
+            handle.write(csv_rows(chunk, np.isnan(chunk)))
         return
     handle.write("[\n")
     separator = ""
     for chunk in chunks:
-        rows = [_JSON_ROW % (*cells, "null" if r is None else repr(r))
-                for *cells, r in _rows(chunk)]
-        handle.write(separator + ",\n".join(rows))
+        text = ",\n".join(_JSON_ROW % tuple(row) for row in chunk.tolist())
+        handle.write(separator + text.replace('"ratio": nan\n', '"ratio": null\n'))
         separator = ",\n"
     handle.write("\n]\n")

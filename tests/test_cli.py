@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -335,6 +336,7 @@ def test_verify_reports_failure(monkeypatch, capsys):
         ("simulate", "--backend", "classical", "--start", "2"),
         ("tmax", "--J", "1", "--B", "0.3", "--tol", "-1"),
         ("tmax", "--J", "1", "--B", "0.3", "--tol", "nan"),
+        ("tmax", "--J", "1", "--B", "0.3", "--tol", "inf"),
         ("tmax", "--t-max", "inf"),
         ("tmax", "--t-min", "nan"),
         ("sweep", "--t-max", "inf", "--out", os.devnull),
@@ -619,6 +621,28 @@ def test_closed_stdout_pipe_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_unallocatable_grid_is_a_usage_error(tmp_path):
+    # A 10^11-point grid (745 GiB) cannot be allocated: a named usage error
+    # before --out is opened, not a traceback.  The child's address space is
+    # capped, so the result does not depend on the host's overcommit policy;
+    # one BLAS thread keeps numpy's own start-up well inside the cap.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "x.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "spin_epsilon.cli", "sweep", "--points", "100000000000",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**PACKAGE_ENV, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap_address_space,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate")
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

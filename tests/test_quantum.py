@@ -326,7 +326,7 @@ def test_find_tmax_input_guards():
     for t_range, tol in [
         ((0.0, 10.0), 1e-4), ((5.0, 1.0), 1e-4), ((0.05, 100.0), 0.0),
         ((0.05, math.inf), 1e-4), ((math.nan, 1.0), 1e-4), ((0.05, math.nan), 1e-4),
-        ((0.05, 100.0), math.nan),
+        ((0.05, 100.0), math.nan), ((0.05, 100.0), math.inf),
     ]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
