@@ -206,11 +206,12 @@ def find_tmax(
 ) -> TmaxResult:
     """Temperature maximizing the quantum statistical complexity.
 
-    A 101-point log scan brackets the argmax; k-section rounds of 33 evenly
-    spaced T (one array call each) keep the neighbours of each round's argmax
-    until the bracket is at most ``tol`` (or four ulps of T) wide; the best
-    sample wins.  A range-endpoint maximum is reported as a boundary result;
-    a non-unimodal grid profile returns the grid argmax with a warning.
+    A 101-point log scan finds the grid argmax.  Only an interior maximum of a
+    unimodal coarse profile is refined: k-section rounds of 33 evenly spaced T
+    (one array call each) keep the neighbours of each round's argmax until the
+    bracket is at most ``tol`` (or four ulps of T) wide; the best sample wins.
+    Otherwise the grid argmax is returned, with a warning unless it is a range
+    endpoint (a boundary result).
     """
     lo, hi = t_range
     if not 0.0 < lo < hi < np.inf:  # also rejects NaN
@@ -220,34 +221,28 @@ def find_tmax(
     grid = np.logspace(np.log10(lo), np.log10(hi), 101)
     grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
     stats = complexity(J, B, grid)
-    values = stats.c_q
-    k = int(np.argmax(values))
-
-    diffs = np.diff(values)
-    moves = diffs[np.abs(diffs) > 0.0]
-    falls_then_rise = np.any(np.diff(np.sign(moves)) > 0) if moves.size else False
-    unimodal = not falls_then_rise
-
+    k = int(np.argmax(stats.c_q))
+    # Unimodal: the nonzero steps of the profile never turn from falling to rising.
+    diffs = np.diff(stats.c_q)
+    unimodal = not np.any(np.diff(np.sign(diffs[np.abs(diffs) > 0.0])) > 0)
     boundary = k in (0, len(grid) - 1)
-    if boundary or not unimodal:
-        if not boundary:
-            warnings.warn(
-                "quantum complexity profile is not unimodal on the coarse grid; "
-                "returning the grid argmax without refinement",
-                stacklevel=2,
-            )
-        return TmaxResult(float(grid[k]), float(values[k]), float(stats.c_mu[k]),
-                          boundary, unimodal)
+    refine = unimodal and not boundary
+    if not refine and not boundary:
+        warnings.warn(
+            "quantum complexity profile is not unimodal on the coarse grid; "
+            "returning the grid argmax without refinement",
+            stacklevel=2,
+        )
 
+    # Without refinement the bracket is the argmax alone, so no round runs.
+    a, b = (grid[k - 1], grid[k + 1]) if refine else (grid[k], grid[k])
     # The rounds' linear samples miss grid[k], so keep the best seen so far.
-    t_best, cq_best, c_mu_best = grid[k], values[k], stats.c_mu[k]
-    a, b = grid[k - 1], grid[k + 1]
+    best = grid[k], stats.c_q[k], stats.c_mu[k]
     while b - a > max(tol, 4 * math.ulp(b)):
         ts = np.linspace(a, b, 33)
         stats = complexity(J, B, ts)
         i = int(np.argmax(stats.c_q))
-        if stats.c_q[i] >= cq_best:
-            t_best, cq_best, c_mu_best = ts[i], stats.c_q[i], stats.c_mu[i]
+        if stats.c_q[i] >= best[1]:
+            best = ts[i], stats.c_q[i], stats.c_mu[i]
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    return TmaxResult(float(t_best), float(cq_best), float(c_mu_best),
-                      boundary=False, unimodal=True)
+    return TmaxResult(*map(float, best), boundary, unimodal)

@@ -37,7 +37,7 @@ _KEYS = CSV_HEADER.split(",")
 RATIO_FLOOR = 1e-12
 CHUNK = 1024  # rows rendered per write: no whole-file string, little scratch memory
 # One JSON object per row, laid out exactly as json.dump(..., indent=2): %r is
-# the float repr json writes.  The ratio comes last; its NaN becomes null.
+# json's float repr, but for T = inf (Infinity).  The ratio comes last (never inf); NaN is null.
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %r' for key in _KEYS) + "\n  }"
 
 
@@ -116,6 +116,8 @@ def run_sweep(J: float, B: float, grid) -> list[SweepRow]:
 
 def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
     """Write a :func:`sweep_table` as CSV or JSON, ``CHUNK`` rows per write."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
     chunks = (table[start:start + CHUNK] for start in range(0, len(table), CHUNK))
     if fmt == "csv":
         handle.write(CSV_HEADER + "\n")
@@ -126,6 +128,7 @@ def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
     separator = ""
     for chunk in chunks:
         text = ",\n".join(_JSON_ROW % tuple(row) for row in chunk.tolist())
-        handle.write(separator + text.replace('"ratio": nan\n', '"ratio": null\n'))
+        text = text.replace("inf,\n", "Infinity,\n").replace('"ratio": nan\n', '"ratio": null\n')
+        handle.write(separator + text)
         separator = ",\n"
     handle.write("\n]\n")

@@ -322,6 +322,40 @@ def test_find_tmax_degenerate_chain_flat_zero():
     assert result.cq == result.c_mu == 0.0
 
 
+def test_find_tmax_non_unimodal_returns_grid_argmax(monkeypatch):
+    # A second bump near T = 20 makes the coarse C_q profile rise again after
+    # its first maximum; no real (J, B) is known to do this.
+    def bump(T):
+        return 0.5 * np.exp(-(np.log(T) - np.log(20.0)) ** 2)
+
+    calls = []
+
+    def two_peaked(J, B, T):
+        calls.append(T)
+        stats = complexity(J, B, T)
+        return quantum.ChainStatistics(stats.t, stats.p, stats.overlap, stats.c_mu,
+                                       stats.c_q + bump(T))
+
+    monkeypatch.setattr(quantum, "complexity", two_peaked)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = find_tmax(1.0, 0.3)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [(
+        UserWarning,
+        "quantum complexity profile is not unimodal on the coarse grid; "
+        "returning the grid argmax without refinement",
+        __file__,  # stacklevel=2 blames the caller
+    )]
+    assert result.unimodal is False and result.boundary is False
+    assert len(calls) == 1  # the coarse scan only: no refinement ran
+    grid = calls[0]
+    stats = complexity(1.0, 0.3, grid)
+    cq = stats.c_q + bump(grid)
+    k = int(np.argmax(cq))
+    assert 0 < k < len(grid) - 1
+    assert (result.temperature, result.cq, result.c_mu) == (grid[k], cq[k], stats.c_mu[k])
+
+
 def test_find_tmax_input_guards():
     for t_range, tol in [
         ((0.0, 10.0), 1e-4), ((5.0, 1.0), 1e-4), ((0.05, 100.0), 0.0),

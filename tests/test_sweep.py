@@ -204,6 +204,19 @@ def test_json_rows_serializable():
     assert math.isfinite(decoded[-1]["C_q_bits"])
 
 
+def test_json_infinite_temperature_reads_back():
+    # T = inf is written as json.dumps writes it, Infinity, not as the bare repr inf.
+    decoded = json.loads(written(1.0, 0.3, math.inf, "json"))
+    assert decoded == [json.loads(json.dumps(compute_row(1.0, 0.3, math.inf).as_dict()))]
+
+
+def test_write_sweep_rejects_unknown_format():
+    handle = io.StringIO()
+    with pytest.raises(ValueError, match=r"^fmt must be 'csv' or 'json', got 'xml'$"):
+        write_sweep(handle, sweep_table(1.0, 0.3, 2.0), "xml")
+    assert handle.getvalue() == ""
+
+
 # Which ratio cells are blank from T = 0.05: the exactly-zero low-T C_q plateau
 # of (1, 3), and C_q below RATIO_FLOOR at the lowest T of (1, 0.3), mix blank
 # and numeric cells in one file.
