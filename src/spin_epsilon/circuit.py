@@ -13,10 +13,10 @@ The enumeration walks every measurement branch with exact amplitudes, one
 unifilar future tables: branch h's children are records 2h and 2h + 1, so
 each layer is one reshape of the last, and the full depth ``MAX_DEPTH`` = 20
 is one 2**20 table per run.  Unitaries with leading axes stack independent
-draws; one walk then covers every run, one (draw, start) pair per grid row,
-and the enumeration results come back per draw.  The memory is always the
-collapsed ancilla amplitude, renormalized, never set to the expected state
-directly: synchronization with the encoding is what
+draws; one walk then covers every draw's run from one start, one draw per
+grid row, and the enumeration results come back per draw.  The memory is
+always the collapsed ancilla amplitude, renormalized, never set to the
+expected state directly: synchronization with the encoding is what
 ``assert_synchronization`` checks.  Each run's squared weights must sum to
 one within 1e-12 at every depth, as ``math.fsum`` decides: one two-level
 array sum per depth, whose error bound clears every healthy run, sends only

@@ -35,7 +35,7 @@ from .distribution import format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
 from .quantum import build_quantum_model, find_tmax
 from .sweep import CSV_HEADER, compute_row, sweep_table, temperature_grid, write_sweep
-from .verify import run_verification
+from .verify import VERIFY_LEVELS, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,7 +65,7 @@ OPTIONS = {
     "steps": Option(int, 1000),
     "start": Option(str, "+1", help="starting symbol, +1 or -1"),
     "backend": Option(str, "classical", ("classical", "quantum")),
-    "level": Option(str, "quick", ("quick", "full")),
+    "level": Option(str, "quick", VERIFY_LEVELS),
     "tol": Option(float, 1e-4),
     "format": Option(str, "csv", ("csv", "json"), "output format"),
     "out": Option(str, help="output file path"),

@@ -123,7 +123,8 @@ def complexity(J, B, T) -> ChainStatistics:
     """
     t, p = transition_arrays(J, B, T)
     amp = np.sqrt(t)
-    overlap = (amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1)
+    # Rounding can lift the overlap of two unit vectors past 1 where the rows merge.
+    overlap = np.minimum((amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1), 1.0)
     # Both spectra are symmetric under w <-> 1-w; the smaller weight keeps
     # its full relative precision, which 1 - p0 would lose.
     weight = p.min(axis=-1)

@@ -40,9 +40,10 @@ from .ring import _window, enumerate_ring, markov_gap
 
 __all__ = ["CheckResult", "draw_params", "run_verification", "VERIFY_LEVELS"]
 
-# Per level: fidelity (draws, max_length), circuit (draws, length, sync_draws,
-# sync_depth) and entropy grid points; oracle ring sizes follow the level name.
-_BUDGETS = {"quick": ((50, 8), (50, 6, 50, 4), 20), "full": ((500, 12), (100, 10, 200, 6), 50)}
+# Per level: oracle ring sizes (n_half), fidelity (draws, max_length), circuit
+# (draws, length, sync_draws, sync_depth) and entropy grid points.
+_BUDGETS = {"quick": ((3, 4, 5, 6), (50, 8), (50, 6, 50, 4), 20),
+            "full": ((4, 6, 8, 10), (500, 12), (100, 10, 200, 6), 50)}
 VERIFY_LEVELS = tuple(_BUDGETS)
 
 # Parameter box for random draws, as (J, B, log T) bounds: couplings and
@@ -91,51 +92,54 @@ def _draw_blocks(rng: np.random.Generator, draws: int):
         yield points.tolist(), TransitionMatrix(*transition_arrays(*points.T))
 
 
-def check_oracle_convergence(level: str = "quick") -> CheckResult:
-    """Ring-enumeration tables must converge on the transfer-matrix route."""
-    n_halves = (3, 4, 5, 6) if level == "quick" else (4, 6, 8, 10)
-    length = 3
-    failures = []
-    details = []
-    gaps = []
+def _budgets(level: str) -> tuple:
+    """The budgets of a level; an unknown level is a ``ValueError``."""
+    if level not in VERIFY_LEVELS:
+        raise ValueError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
+    return _BUDGETS[level]
 
-    for label, (J, B, T) in (("short-corr", _SHORT_CORR), ("long-corr", _LONG_CORR)):
-        params = IsingParams(J, B, T)
+
+def check_oracle_convergence(level: str = "quick") -> CheckResult:
+    """Ring-enumeration tables must converge on the transfer-matrix route.
+
+    One pass measures every ring; the first bound the numbers break is the
+    report.  The tight bounds apply at ``full`` only: quick rings are too
+    short for a length-3 Markov gap.
+    """
+    n_halves, length, full = _budgets(level)[0], 3, level == "full"
+    points = {"short-corr": _SHORT_CORR, "long-corr": _LONG_CORR}
+    errors, gaps = {label: [] for label in points}, []
+    for label, point in points.items():
+        params = IsingParams(*point)
         tm = transition_matrix(params)
         exact = np.stack([future_distribution(tm, start, length).probs for start in (0, 1)])
-        errors = []
         for n_half in n_halves:
             ens = enumerate_ring(params, n_half)
             window = _window(ens, length)  # rows: conditions +1, -1
-            errors.append(float(np.max(np.abs(window / window.sum(axis=1, keepdims=True) - exact))))
-            # Quick rings are too short for a length-3 Markov gap.
-            if level == "full" and label == "short-corr":
+            error = np.max(np.abs(window / window.sum(axis=1, keepdims=True) - exact))
+            errors[label].append(float(error))
+            if full and label == "short-corr":
                 gaps.append(markov_gap(ens, length))
-        details.append(f"{label} table errors {['%.3g' % e for e in errors]}")
-        if not all(e2 < e1 for e1, e2 in zip(errors, errors[1:])):
-            failures.append(
-                f"{label} (J={J}, B={B}, T={T}): table error not strictly "
-                f"decreasing across n_half={n_halves}: {errors}"
-            )
-        if label == "short-corr":
-            final = errors[-1]
 
-    if level == "full":
-        if final >= 1e-6:
-            failures.append(
-                f"short-corr table error at n_half=10 is {final:.3g}, expected < 1e-6"
-            )
-        details.append(f"short-corr markov gaps {['%.3g' % g for g in gaps]}")
-        if not all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:])):
-            failures.append(f"markov gap not strictly decreasing: {gaps}")
-        if gaps[-1] >= 1e-5:
-            failures.append(
-                f"markov gap at n_half=10 is {gaps[-1]:.3g}, expected < 1e-5"
-            )
-
-    if failures:
-        return CheckResult("oracle-convergence", False, failures[0])
-    return CheckResult("oracle-convergence", True, "; ".join(details))
+    not_decreasing = lambda values: not all(b < a for a, b in zip(values, values[1:]))
+    bounds = [
+        (not_decreasing(errors[label]), f"{label} (J={J}, B={B}, T={T}): table error not strictly "
+         f"decreasing across n_half={n_halves}: {errors[label]}")
+        for label, (J, B, T) in points.items()
+    ]
+    series = [(f"{label} table errors", values) for label, values in errors.items()]
+    if full:
+        final, last = errors["short-corr"][-1], n_halves[-1]
+        bounds += [
+            (final >= 1e-6, f"short-corr table error at n_half={last} is {final:.3g}, "
+             "expected < 1e-6"),
+            (not_decreasing(gaps), f"markov gap not strictly decreasing: {gaps}"),
+            (gaps[-1] >= 1e-5, f"markov gap at n_half={last} is {gaps[-1]:.3g}, expected < 1e-5"),
+        ]
+        series.append(("short-corr markov gaps", gaps))
+    failures = [message for failed, message in bounds if failed]
+    detail = "; ".join(f"{name} {['%.3g' % v for v in values]}" for name, values in series)
+    return CheckResult("oracle-convergence", not failures, failures[0] if failures else detail)
 
 
 def check_fidelity_saturation(seed: int, draws: int, max_length: int = 12) -> CheckResult:
@@ -237,14 +241,8 @@ def check_entropy_monotonicity(grid_points: int = 50) -> CheckResult:
 
 
 def run_verification(level: str = "quick", seed: int = 0) -> list[CheckResult]:
-    """Run every check family at the requested tier.
-
-    ``quick`` caps rings at n_half = 6 and random sweeps at 50 draws; ``full``
-    uses the complete budgets.
-    """
-    if level not in VERIFY_LEVELS:
-        raise ValueError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
-    fidelity, circuit, grid_points = _BUDGETS[level]
+    """Run every check family at the budgets of ``level``: quick or full."""
+    _, fidelity, circuit, grid_points = _budgets(level)
     return [
         check_oracle_convergence(level),
         check_fidelity_saturation(seed, *fidelity),

@@ -118,6 +118,17 @@ def test_scalar_routes_are_exactly_zero_where_causal_states_merge(J, B, T):
     assert quantum_statistical_complexity(build_quantum_model(tm)) == stats.c_q == 0.0
 
 
+@pytest.mark.parametrize("J, T", [(0.0, 1.0), (0.0, 0.05), (1.0, math.inf), (-2.0, math.inf)])
+def test_merged_rows_overlap_is_at_most_one(J, T):
+    # Equal rows are equal unit vectors: rounding in the sum of products
+    # must not lift their overlap past 1 (it did at (0, 0, 1) and T = inf).
+    B = np.linspace(-3.0, 3.0, 1001)
+    stats = complexity(J, B, T)
+    assert (stats.overlap <= 1.0).all()
+    assert complexity(J, 0.0, T).overlap == 1.0
+    assert (stats.c_mu == 0.0).all() and (stats.c_q == 0.0).all()
+
+
 def test_quantum_never_beats_classical_memory():
     rng = np.random.default_rng(97)
     for _ in range(300):

@@ -117,7 +117,7 @@ def test_ratio_blank_below_floor():
 def test_infinite_temperature_line_blanks_only_the_ratio():
     # The T cell is inf, not blank: only a NaN ratio is left empty.
     assert csv_line(1.0, 0.3, math.inf) == (
-        "inf,1,0.29999999999999999,0.5,0.5,0.5,0.5,0.5,0.5,1.0000000000000002,0,0,"
+        "inf,1,0.29999999999999999,0.5,0.5,0.5,0.5,0.5,0.5,1,0,0,"
     )
 
 

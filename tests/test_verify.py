@@ -88,6 +88,97 @@ def test_full_oracle_convergence_enumerates_each_ring_once(monkeypatch):
     assert len(calls) == 8 == len(set(calls))
 
 
+def _exact_window(point):
+    """Transfer-matrix law of the three symbols after site 0, one row per site-0 symbol."""
+    tm = verify.transition_matrix(verify.IsingParams(*point))
+    return np.stack([verify.future_distribution(tm, start, 3).probs for start in (0, 1)])
+
+
+def _flat_error(point):
+    # A uniform window reads the same error from every ring.
+    return float(np.max(np.abs(0.125 - _exact_window(point))))
+
+
+# Faults, each a patch of the names verify reads: the ring window at one
+# point (a function of the exact window and n_half) or the Markov gaps.
+def _flat(exact, n_half):
+    return np.full(exact.shape, 0.125)
+
+
+def _off_by_more_than_tolerance(exact, n_half):
+    # Table errors 1e-6 * (1 + 1/n_half): strictly decreasing, all >= 1e-6.
+    window = exact.copy()
+    window[:, 0] += 1e-6 * (1 + 1 / n_half)
+    window[:, 1] -= 1e-6 * (1 + 1 / n_half)
+    return window
+
+
+_RISING_GAPS = {4: 1e-2, 6: 1e-3, 8: 2e-3, 10: 1e-7}
+_SLOW_GAPS = {4: 1e-2, 6: 1e-3, 8: 1e-4, 10: 2e-5}
+
+# A flat fault's message, as (template, point): the template takes n_half and the errors.
+_SHORT_FLAT = (
+    "short-corr (J=1.0, B=0.3, T=2.0): table error not strictly decreasing across "
+    "n_half={}: {}",
+    verify._SHORT_CORR,
+)
+_LONG_FLAT = (
+    "long-corr (J=1.0, B=0.0, T=1.0): table error not strictly decreasing across "
+    "n_half={}: {}",
+    verify._LONG_CORR,
+)
+_SHORT_FINAL = "short-corr table error at n_half=10 is 1.1e-06, expected < 1e-6"
+_GAPS_RISING = "markov gap not strictly decreasing: [0.01, 0.001, 0.002, 1e-07]"
+_GAP_FINAL = "markov gap at n_half=10 is 2e-05, expected < 1e-5"
+
+
+@pytest.mark.parametrize(
+    "level, windows, gaps, expected",
+    [
+        ("quick", {verify._SHORT_CORR: _flat}, None, _SHORT_FLAT),
+        ("quick", {verify._LONG_CORR: _flat}, None, _LONG_FLAT),
+        ("quick", {verify._SHORT_CORR: _flat, verify._LONG_CORR: _flat}, None, _SHORT_FLAT),
+        ("full", {verify._SHORT_CORR: _flat}, None, _SHORT_FLAT),
+        ("full", {verify._LONG_CORR: _flat}, None, _LONG_FLAT),
+        ("full", {verify._SHORT_CORR: _off_by_more_than_tolerance}, None, _SHORT_FINAL),
+        ("full", {}, _RISING_GAPS, _GAPS_RISING),
+        ("full", {}, _SLOW_GAPS, _GAP_FINAL),
+        # Several faults at once: the earlier bound is the one reported.
+        ("full", {verify._SHORT_CORR: _flat, verify._LONG_CORR: _flat}, _RISING_GAPS,
+         _SHORT_FLAT),
+        ("full", {verify._LONG_CORR: _flat, verify._SHORT_CORR: _off_by_more_than_tolerance},
+         _SLOW_GAPS, _LONG_FLAT),
+        ("full", {verify._SHORT_CORR: _off_by_more_than_tolerance}, _RISING_GAPS, _SHORT_FINAL),
+        ("full", {}, {**_RISING_GAPS, 10: 2e-5},
+         "markov gap not strictly decreasing: [0.01, 0.001, 0.002, 2e-05]"),
+    ],
+)
+def test_oracle_convergence_reports_the_first_broken_bound(
+    monkeypatch, level, windows, gaps, expected
+):
+    window = verify._window
+
+    def faulty_window(ens, length):
+        point = (ens.params.J, ens.params.B, ens.params.T)
+        if point not in windows:
+            return window(ens, length)
+        return windows[point](_exact_window(point), ens.n_half)
+
+    monkeypatch.setattr(verify, "_window", faulty_window)
+    if gaps is not None:
+        monkeypatch.setattr(verify, "markov_gap", lambda ens, length: gaps[ens.n_half])
+    if isinstance(expected, tuple):
+        template, point = expected
+        n_halves = (3, 4, 5, 6) if level == "quick" else (4, 6, 8, 10)
+        expected = template.format(n_halves, [_flat_error(point)] * len(n_halves))
+    assert check_oracle_convergence(level) == CheckResult("oracle-convergence", False, expected)
+
+
+def test_oracle_convergence_rejects_unknown_level():
+    with pytest.raises(ValueError, match=r"level must be one of \('quick', 'full'\)"):
+        check_oracle_convergence("exhaustive")
+
+
 def reference_entropy_monotonicity(grid_points):
     """The cell-by-cell loop: one outer product and one eigensolve per cell."""
     weights = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
