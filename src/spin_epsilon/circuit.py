@@ -52,6 +52,7 @@ __all__ = [
 
 MAX_DEPTH = MAX_TABLE_LENGTH  # a depth-L layer is one 2**L record table per run
 _BLOCK = 1024  # first-level block of the normalization sums: slack <= 4.6e-13 at MAX_DEPTH
+SYNC_TOL = 1e-12  # largest | |<memory|s_j>| - 1 | assert_synchronization passes
 
 _KET0 = np.array([1.0, 0.0])
 
@@ -219,11 +220,11 @@ class SyncReport:
 
 
 def assert_synchronization(
-    su: StepUnitaries, model: QuantumModel, length: int, tol: float = 1e-12
+    su: StepUnitaries, model: QuantumModel, length: int
 ) -> SyncReport | list[SyncReport]:
     """Check every branch's memory equals the emitted symbol's memory state.
 
-    Comparison is up to global sign via | |<memory|s_j>| - 1 | <= tol, for
+    Comparison is up to global sign via | |<memory|s_j>| - 1 | <= ``SYNC_TOL``, for
     every branch at every depth up to ``length``.  Returns one
     :class:`SyncReport`; with leading draw axes on ``su`` and ``model``, a
     list of them, one per draw in C order.
@@ -239,7 +240,7 @@ def assert_synchronization(
             live = (layer.memory != 0).any(axis=-1)  # not weight > 0: weights underflow
             deviation = np.where(live, np.abs(np.abs(overlap) - 1.0), 0.0)
             worst = np.maximum(worst, deviation.max(axis=1))
-            failing = deviation > tol
+            failing = deviation > SYNC_TOL
             # The first failing branch of each run that has one.
             for run in np.flatnonzero(failing.any(axis=1)).tolist():
                 if first[run] is None:

@@ -48,12 +48,15 @@ def merged_rows(t: np.ndarray) -> np.ndarray:
     return np.abs(t[..., 0, :] - t[..., 1, :]).max(axis=-1) <= MERGE_TOL
 
 
-def statistical_complexity(tm: TransitionMatrix) -> float:
-    """Shannon entropy (bits) of the stationary causal-state distribution.
+def statistical_complexity(tm: TransitionMatrix) -> float | np.ndarray:
+    """Shannon entropy (bits) of the stationary causal-state distribution: a
+    float, or an array over the leading axes of a stacked ``tm``.
 
-    Returns 0 when the causal states merge (see :func:`merged_rows`).
+    It is 0 where the causal states merge (see :func:`merged_rows`).
     """
-    return 0.0 if merged_rows(tm.t) else float(binary_entropy_bits(tm.p.min()))
+    # A finite entropy >= +0.0 times False is np.where's +0.0, at a third of its cost.
+    c_mu = binary_entropy_bits(tm.p.min(axis=-1)) * ~merged_rows(tm.t)
+    return float(c_mu) if c_mu.ndim == 0 else c_mu
 
 
 def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.ndarray]:

@@ -43,6 +43,8 @@ __all__ = [
     "find_tmax",
 ]
 
+SATURATION_TOL = 1e-10  # fidelity_saturation_check's bound on |overlap - fidelity(L)|
+
 
 @dataclass(frozen=True, eq=False)
 class QuantumModel:
@@ -59,6 +61,8 @@ class QuantumModel:
     def overlap(self):
         """Inner product <s0|s1> of the two memory states: a float, or an
         array over the leading axes."""
+        # vecdot, not the C_q kernel's clipped product sum: it lands nearer the
+        # exact sum, and the fidelity-saturation report pins its last bits.
         overlap = np.vecdot(self.amp[..., 0, :], self.amp[..., 1, :])
         return float(overlap) if overlap.ndim == 0 else overlap
 
@@ -72,24 +76,27 @@ def stationary_density(model: QuantumModel) -> np.ndarray:
     """Stationary memory state: weighted sum of the two pure projectors.
 
     Returns a real symmetric 2x2 matrix with unit trace and eigenvalues in
-    [0, 1].
+    [0, 1]; a stacked ``model`` gives one per draw, shape ``(..., 2, 2)``.
     """
-    rho = np.zeros((2, 2))
-    for w, vec in zip(model.weights, model.amp):
-        rho += w * np.outer(vec, vec)
-    return rho
+    amp = model.amp
+    return (model.weights[..., None, None] * (amp[..., :, None] * amp[..., None, :])).sum(axis=-3)
 
 
-def quantum_statistical_complexity(model: QuantumModel) -> float:
-    """Von Neumann entropy (bits) of the stationary memory state.
+def quantum_statistical_complexity(model: QuantumModel) -> float | np.ndarray:
+    """Von Neumann entropy (bits) of the stationary memory state, 0 where the causal
+    states merge (:func:`classical.merged_rows` of the squared amplitudes): a float,
+    or an array over the leading axes, equal to :func:`complexity`'s ``c_q`` bit for bit."""
+    _, c_q = _memory_entropy(model.amp, model.weights.min(axis=-1), merged_rows(model.amp**2))
+    return float(c_q) if c_q.ndim == 0 else c_q
 
-    Returns 0 when the causal states merge (:func:`classical.merged_rows` of
-    the squared amplitudes), as :func:`complexity` does.
-    """
-    if merged_rows(model.amp**2):
-        return 0.0
-    smaller, _ = mixture_eigenvalues(float(np.min(model.weights)), model.overlap())
-    return float(binary_entropy_bits(smaller))
+
+def _memory_entropy(amp, weight, merged):
+    """Overlap of the memory states ``amp`` (shape ``(..., 2, 2)``) and the
+    entropy (bits) of their mixture at smaller weight ``weight``: 0 where ``merged``."""
+    # Rounding can lift the overlap of two unit vectors past 1 where the rows merge.
+    overlap = np.minimum((amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1), 1.0)
+    smaller, _ = mixture_eigenvalues(weight, overlap)
+    return overlap, np.where(merged, 0.0, binary_entropy_bits(smaller))
 
 
 def mixture_eigenvalues(weight, overlap):
@@ -122,16 +129,12 @@ def complexity(J, B, T) -> ChainStatistics:
     Where the two rows of t merge, both complexities are exactly 0.
     """
     t, p = transition_arrays(J, B, T)
-    amp = np.sqrt(t)
-    # Rounding can lift the overlap of two unit vectors past 1 where the rows merge.
-    overlap = np.minimum((amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1), 1.0)
     # Both spectra are symmetric under w <-> 1-w; the smaller weight keeps
     # its full relative precision, which 1 - p0 would lose.
     weight = p.min(axis=-1)
-    smaller, _ = mixture_eigenvalues(weight, overlap)
     merged = merged_rows(t)
+    overlap, c_q = _memory_entropy(np.sqrt(t), weight, merged)
     c_mu = np.where(merged, 0.0, binary_entropy_bits(weight))
-    c_q = np.where(merged, 0.0, binary_entropy_bits(smaller))
     return ChainStatistics(t=t, p=p, overlap=overlap, c_mu=c_mu, c_q=c_q)
 
 
@@ -154,17 +157,14 @@ class SaturationReport:
 
 
 def fidelity_saturation_check(
-    tm: TransitionMatrix,
-    model: QuantumModel,
-    max_length: int = 12,
-    tol: float = 1e-10,
+    tm: TransitionMatrix, model: QuantumModel, max_length: int = 12
 ) -> SaturationReport | list[SaturationReport]:
     """Verify the memory-state overlap sits exactly on the classical bound.
 
     The overlap of any valid pair of memory states can never exceed the
     fidelity of the conditional futures they stand for; the optimal model
-    meets it with equality.  PASS requires, for every L = 1..max_length,
-    overlap <= fidelity(L) + tol and |overlap - fidelity(L)| <= tol.
+    meets it with equality.  PASS requires, for every L = 1..max_length, that
+    overlap - fidelity(L) lie within +-``SATURATION_TOL``.
     A FAIL signals a construction bug, not a physics surprise.
 
     Returns one :class:`SaturationReport`; with leading draw axes on ``tm``
@@ -175,7 +175,7 @@ def fidelity_saturation_check(
     tables = zip(future_tables(tm, 0, max_length), future_tables(tm, 1, max_length))
     fidelities = np.stack([np.sum(np.sqrt(d0 * d1), axis=-1) for d0, d1 in tables], axis=-1)
     max_gap = np.abs(overlap - fidelities).max(axis=-1)
-    passed = (overlap <= fidelities + tol).all(axis=-1) & (max_gap <= tol)
+    passed = (overlap <= fidelities + SATURATION_TOL).all(axis=-1) & (max_gap <= SATURATION_TOL)
     reports = [
         SaturationReport(overlap=o, fidelities=tuple(f), max_gap=g, passed=p)
         for o, f, g, p in zip(

@@ -124,11 +124,10 @@ def write_sweep(handle, table: np.ndarray, fmt: str) -> None:
         for chunk in chunks:
             handle.write(csv_rows(chunk, np.isnan(chunk)))
         return
-    handle.write("[\n")
-    separator = ""
+    separator = "[\n"
     for chunk in chunks:
         text = ",\n".join(_JSON_ROW % tuple(row) for row in chunk.tolist())
         text = text.replace("inf,\n", "Infinity,\n").replace('"ratio": nan\n', '"ratio": null\n')
         handle.write(separator + text)
         separator = ",\n"
-    handle.write("\n]\n")
+    handle.write("[]\n" if separator == "[\n" else "\n]\n")  # json.dump's empty list

@@ -31,11 +31,8 @@ import numpy as np
 from .circuit import assert_synchronization, build_step_unitaries, exact_output_distribution
 from .classical import future_distribution
 from .ising import IsingParams, TransitionMatrix, transition_arrays, transition_matrix
-from .quantum import (
-    build_quantum_model,
-    fidelity_saturation_check,
-    mixture_eigenvalues,
-)
+from .quantum import (QuantumModel, build_quantum_model, fidelity_saturation_check,
+                      mixture_eigenvalues, stationary_density)
 from .ring import _window, enumerate_ring, markov_gap
 
 __all__ = ["CheckResult", "draw_params", "run_verification", "VERIFY_LEVELS"]
@@ -213,13 +210,12 @@ def check_entropy_monotonicity(grid_points: int = 50) -> CheckResult:
     """
     weights = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     overlaps = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
-    w = weights[:, None, None, None]
     lo, hi = mixture_eigenvalues(weights[:, None], overlaps)
-    second = np.stack([overlaps, np.sqrt(1.0 - overlaps * overlaps)], axis=-1)
-    rho = w * np.outer([1.0, 0.0], [1.0, 0.0]) + (1 - w) * (
-        second[:, :, None] * second[:, None, :]
-    )
-    direct = np.linalg.eigvalsh(rho)
+    # One model per cell: memory states |0> and (overlap, sqrt(1 - overlap**2)).
+    w = weights[:, None].repeat(grid_points, axis=1)
+    amp = np.zeros(w.shape + (2, 2))
+    amp[..., 0, 0], amp[..., 1, 0], amp[..., 1, 1] = 1.0, overlaps, np.sqrt(1.0 - overlaps**2)
+    direct = np.linalg.eigvalsh(stationary_density(QuantumModel(amp, np.stack([w, 1 - w], -1))))
     eig_gaps = np.abs(np.sort(np.stack([lo, hi], axis=-1)) - direct).max(axis=-1)
     entropy = -(lo * np.log2(np.maximum(lo, 1e-300)) + hi * np.log2(hi))
     rising = np.pad(~(np.diff(entropy, axis=1) < 0.0), ((0, 0), (1, 0)))

@@ -20,7 +20,8 @@ from spin_epsilon import (
     stationary_density,
     transition_matrix,
 )
-from spin_epsilon import quantum
+from spin_epsilon import quantum, verify
+from spin_epsilon.ising import transition_arrays
 from spin_epsilon.sweep import compute_row
 from spin_epsilon.verify import draw_params
 
@@ -91,6 +92,8 @@ def test_density_invariants_and_closed_form_eigenvalues():
     for _ in range(200):
         model = build_quantum_model(transition_matrix(draw_params(rng)))
         rho = stationary_density(model)
+        (w0, w1), (a0, a1) = model.weights, model.amp
+        assert rho.tobytes() == (w0 * np.outer(a0, a0) + w1 * np.outer(a1, a1)).tobytes()
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert abs(rho[0, 1] - rho[1, 0]) < 1e-15
         direct = np.linalg.eigvalsh(rho)
@@ -127,6 +130,27 @@ def test_merged_rows_overlap_is_at_most_one(J, T):
     assert (stats.overlap <= 1.0).all()
     assert complexity(J, 0.0, T).overlap == 1.0
     assert (stats.c_mu == 0.0).all() and (stats.c_q == 0.0).all()
+
+
+def test_scalar_routes_equal_complexity_bit_for_bit():
+    # One closed form behind every route: C_mu and C_q per draw equal the
+    # array route's, and stacked models (two leading axes) give the per-draw values.
+    points = verify._draw(np.random.default_rng(1), 2000)
+    stats = complexity(*points.T)
+    models = []
+    for k, point in enumerate(points.tolist()):
+        tm = transition_matrix(IsingParams(*point))
+        models.append(build_quantum_model(tm))
+        assert statistical_complexity(tm) == stats.c_mu[k]
+        assert quantum_statistical_complexity(models[-1]) == stats.c_q[k]
+    stacked = TransitionMatrix(*transition_arrays(*points.reshape(40, 50, 3).transpose(2, 0, 1)))
+    model = build_quantum_model(stacked)
+    assert statistical_complexity(stacked).tobytes() == stats.c_mu.tobytes()
+    assert quantum_statistical_complexity(model).tobytes() == stats.c_q.tobytes()
+    densities = stationary_density(model)
+    assert densities.shape == (40, 50, 2, 2)
+    singles = np.array([stationary_density(single) for single in models])
+    assert densities.tobytes() == singles.tobytes()
 
 
 def test_quantum_never_beats_classical_memory():

@@ -244,6 +244,7 @@ def test_columnar_output_matches_per_row_reference(tmp_path, capsys, J, B, blank
         assert out_path.read_bytes() == text.encode()
     capsys.readouterr()
     assert written(J, B, grid) == expected["csv"]
+    assert written(J, B, grid[:0], "json") == reference_json([])  # "[]\n", as json.dump writes it
     assert [tuple(vars(row).values()) for row in run_sweep(J, B, grid)] == rows
 
 
