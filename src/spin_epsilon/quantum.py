@@ -58,6 +58,13 @@ class QuantumModel:
     amp: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        if self.amp.shape[-2:] != (2, 2) or self.weights.shape != self.amp.shape[:-1]:
+            raise ValueError(
+                f"expected amp of shape (..., 2, 2) and weights of shape (..., 2), "
+                f"got {self.amp.shape} and {self.weights.shape}"
+            )
+
     def overlap(self):
         """Inner product <s0|s1> of the two memory states: a float, or an
         array over the leading axes."""

@@ -10,7 +10,8 @@ Configurations are encoded as integers: bit k of a configuration is the
 symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).  The table is
 one row of weights per class of high index half.  Sums of table rows go
 through :func:`_colsum`; sums of 1-D runs (a row, every other entry) are
-numpy's pairwise sum.
+numpy's pairwise sum, and so is the normalizing total of the whole table,
+found without writing the table (:func:`enumerate_ring`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 MAX_N_HALF = 10  # ring <= 21 spins, <= 2,097,152 configurations
+_PAIRWISE_BLOCK = 128  # numpy's pairwise sum adds runs of up to this many entries in 8 lanes
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +68,12 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     counts add up over the low n_half + 1 index bits and the high n_half, with
     the two bonds joining their end bits: each class of high half gathers one
     row of weights over all low halves, and the table is one row per high half.
+
+    The class rows are divided by the table's total before the gather, so the
+    2**m table is written once.  The total is bit for bit the pairwise
+    ``table.sum()``: with rows of at least numpy's 128-entry block (n_half >= 6)
+    that is the binary tree, in index order, of the gathered row sums; smaller
+    rings, whose blocks span several rows, sum the gathered table.
     """
     if not (isinstance(n_half, (int, np.integer)) and 1 <= n_half <= MAX_N_HALF):
         raise ValueError(f"n_half must be an integer in [1, {MAX_N_HALF}], got {n_half!r}")
@@ -82,9 +90,15 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     key = ((k_hi * (m + 1) + d_hi) * 2 + hi_bottom) * 2 + hi_top
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
     k_c, d_c, bottom, top = (a[first, None] for a in (k_hi, d_hi, hi_bottom, hi_top))
-    rows = weights[k_c + k_lo + (lo_top ^ bottom) + (top ^ lo_bottom), d_c + d_lo]
+    rows = weights.take((k_c + k_lo + (lo_top ^ bottom) + (top ^ lo_bottom)) * (m + 1) + d_c + d_lo)
+    if rows.shape[1] >= _PAIRWISE_BLOCK:
+        total = rows.sum(axis=1)[inv]
+        while len(total) > 1:
+            total = total[0::2] + total[1::2]
+    else:
+        total = rows.take(inv, axis=0).sum()
+    rows /= total
     probs = rows.take(inv, axis=0).ravel()
-    probs /= probs.sum()
     return RingEnsemble(n_half=int(n_half), params=params, probs=probs)
 
 

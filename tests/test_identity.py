@@ -138,7 +138,7 @@ def _library() -> dict:
         "exact_output_distribution depth 10, 32 stacked draws": _circuit_tables,
     }
     for point in ((1.0, 0.3, 2.0), (1.0, 0.0, 1.0)):
-        for n_half in (5, 10):
+        for n_half in (5, 6, 8, 10):
             library[f"enumerate_ring n_half={n_half} at {point}"] = (
                 lambda point=point, n_half=n_half: [enumerate_ring(IsingParams(*point), n_half).probs]
             )

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +152,21 @@ def test_scalar_routes_equal_complexity_bit_for_bit():
     assert densities.shape == (40, 50, 2, 2)
     singles = np.array([stationary_density(single) for single in models])
     assert densities.tobytes() == singles.tobytes()
+
+
+def test_model_weights_must_match_amplitude_shape():
+    # One weight pair for three stacked draws would give every draw's C_q at
+    # the first draw's weights: [9.3e-4, 6.7e-4, 6.3e-5] in place of these.
+    stacked = TransitionMatrix(*transition_arrays(1.0, 0.3, np.array([0.5, 2.0, 8.0])))
+    model = build_quantum_model(stacked)
+    np.testing.assert_allclose(
+        quantum_statistical_complexity(model), [9.3e-4, 0.265, 0.037], rtol=0.02)
+    for amp, weights in ((model.amp, model.weights[0]), (model.amp[0], model.weights)):
+        shapes = f"got {amp.shape} and {weights.shape}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            QuantumModel(amp, weights)
+    with pytest.raises(ValueError, match="amp of shape"):
+        QuantumModel(model.amp[..., :1], model.weights)
 
 
 def test_quantum_never_beats_classical_memory():

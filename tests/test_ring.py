@@ -168,17 +168,19 @@ def reference_ring_probs(params, n_half):
 
 
 # The low/high half split of the index moves with n_half, so every size is
-# covered by at least two points; sizes 1, 3 and 10 take every point.
+# covered by at least two points; sizes 1, 3, 5, 6 and 10 take every point.
+# Size 5 is the last that normalizes by summing the whole table, size 6 the
+# first whose 128-entry rows give the total as a tree of row sums.
 _CLASS_POINTS = [(1.0, 0.3, math.inf), (3.0, 0.0, 0.05), (-3.0, 0.0, 0.05), (-3.0, 0.4, 0.05),
                  (1.0, 0.0, 1.0), (0.7, -0.4, 2.5), (0.0, 1.3, 0.2)]
 
 
 @pytest.mark.parametrize(
     "J, B, T, n_half",
-    [(*point, n_half) for n_half in (1, 3, 10) for point in _CLASS_POINTS]
-    + [(*point, n_half) for n_half in (2, 4, 5, 6, 7, 8, 9)
+    [(*point, n_half) for n_half in (1, 3, 5, 6, 10) for point in _CLASS_POINTS]
+    + [(*point, n_half) for n_half in (2, 4, 7, 8, 9)
        for point in ((1.0, 0.3, 2.0), (-3.0, 0.4, 0.05))]
-    + [(1.0, 0.3, 2.0, n_half) for n_half in (1, 3, 10)],
+    + [(1.0, 0.3, 2.0, n_half) for n_half in (1, 3, 5, 6, 10)],
 )
 def test_energy_class_weights_bit_identical_to_per_configuration(J, B, T, n_half):
     params = IsingParams(J, B, T)
