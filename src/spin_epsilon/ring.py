@@ -8,14 +8,17 @@ do not underflow.
 
 Configurations are encoded as integers: bit k of a configuration is the
 symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).  The table is
-one row of weights per class of high index half.  Sums of table rows go
-through :func:`_colsum`; sums of 1-D runs (a row, every other entry) are
-numpy's pairwise sum, and so is the normalizing total of the whole table,
+one row of weights per class of high index half.  Which energy class each
+entry of those rows takes depends on the ring size alone, so that layout is a
+per-size constant, built on first use (:func:`_class_layout`).  Sums of table
+rows go through :func:`_colsum`; sums of 1-D runs (a row, every other entry)
+are numpy's pairwise sum, and so is the normalizing total of the whole table,
 found without writing the table (:func:`enumerate_ring`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,40 @@ class RingEnsemble:
 
 
 def _half_classes(bits: int):
-    """Bonds broken inside, down spins, bottom bit and top bit of every ``bits``-bit half."""
+    """Classes of the ``bits``-bit halves, by bonds broken inside, down spins,
+    bottom bit and top bit: those four of each class, then every half's class."""
     x = np.arange(2**bits)
-    inside = np.bitwise_count((x ^ (x >> 1)) & (2 ** (bits - 1) - 1))
-    return inside.astype(int), np.bitwise_count(x), x & 1, x >> (bits - 1)
+    inside = np.bitwise_count((x ^ (x >> 1)) & (2 ** (bits - 1) - 1)).astype(int)
+    down, bottom, top = np.bitwise_count(x), x & 1, x >> (bits - 1)
+    key = ((inside * (bits + 1) + down) * 2 + bottom) * 2 + top
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return inside[first], down[first], bottom[first], top[first], inv
+
+
+@functools.cache
+def _class_layout(n_half: int) -> tuple[np.ndarray, ...]:
+    """Energy classes of a (2*n_half+1)-ring and where its table takes them.
+
+    Returns, read-only: the bond and spin sums of each class some
+    configuration takes; the class of each pair (class of high half, class of
+    low half); and the class of every high half and of every low half.  Both
+    counts add up over the low n_half + 1 index bits and the high n_half, with
+    the two bonds joining their end bits, so the halves' counts and end bits
+    fix the class.  Classes no ring holds are never weighed: at cold
+    antiferromagnetic points their exponential would overflow.
+    """
+    m = 2 * n_half + 1
+    k_lo, d_lo, lo_bottom, lo_top, lo_inv = _half_classes(n_half + 1)
+    *hi, inv = _half_classes(n_half)
+    k_hi, d_hi, hi_bottom, hi_top = (a[:, None] for a in hi)
+    flat = (k_hi + k_lo + (lo_top ^ hi_bottom) + (hi_top ^ lo_bottom)) * (m + 1) + d_hi + d_lo
+    classes, index = np.unique(flat, return_inverse=True)
+    k, d = np.divmod(classes, m + 1)  # k broken bonds, d down spins
+    index = index.reshape(flat.shape).astype(np.min_scalar_type(len(classes)))
+    layout = (m - 2.0 * k, m - 2.0 * d, index, inv, lo_inv)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
@@ -63,11 +96,13 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
 
     H(c) = sum_k (-J * x_k * x_{k+1} - B * x_k) with indices mod the ring size.
     The energy depends only on two counts, the broken bonds and the down
-    spins, so each configuration takes its weight from an (m+1)x(m+1) table
-    over those classes; the max shift runs over the classes that occur.  Both
-    counts add up over the low n_half + 1 index bits and the high n_half, with
-    the two bonds joining their end bits: each class of high half gathers one
-    row of weights over all low halves, and the table is one row per high half.
+    spins, so each configuration takes its weight from the classes of those
+    counts that occur, max-shifted over them.  Its class depends only on the
+    classes of its high and low index halves: the table is one row per class
+    of high half, gathered over the classes of low half.  Which class each
+    entry takes is a per-size constant, built on first use
+    (:func:`_class_layout`), so a call only weighs the classes and writes the
+    class rows and the table.
 
     The class rows are divided by the table's total before the gather, so the
     2**m table is written once.  The total is bit for bit the pairwise
@@ -75,22 +110,12 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     that is the binary tree, in index order, of the gathered row sums; smaller
     rings, whose blocks span several rows, sum the gathered table.
     """
-    if not (isinstance(n_half, (int, np.integer)) and 1 <= n_half <= MAX_N_HALF):
+    integral = isinstance(n_half, (int, np.integer)) and not isinstance(n_half, bool)
+    if not (integral and 1 <= n_half <= MAX_N_HALF):
         raise ValueError(f"n_half must be an integer in [1, {MAX_N_HALF}], got {n_half!r}")
-    m = 2 * int(n_half) + 1
-    k, d = np.ogrid[: m + 1, : m + 1]  # k broken bonds, d down spins
-    log_w = params.beta * (params.J * (m - 2.0 * k) + params.B * (m - 2.0 * d))
-    # A ring breaks an even number k of bonds.  With k > 0 it splits into k/2
-    # runs of down spins and k/2 runs of up spins, each at least one spin
-    # long; with k = 0 all spins agree.
-    occurs = (k % 2 == 0) & (np.minimum(d, m - d) >= k // 2) & ((k > 0) | (d % m == 0))
-    weights = np.exp(log_w - log_w[occurs].max())
-    k_lo, d_lo, lo_bottom, lo_top = _half_classes(int(n_half) + 1)
-    k_hi, d_hi, hi_bottom, hi_top = _half_classes(int(n_half))
-    key = ((k_hi * (m + 1) + d_hi) * 2 + hi_bottom) * 2 + hi_top
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    k_c, d_c, bottom, top = (a[first, None] for a in (k_hi, d_hi, hi_bottom, hi_top))
-    rows = weights.take((k_c + k_lo + (lo_top ^ bottom) + (top ^ lo_bottom)) * (m + 1) + d_c + d_lo)
+    bonds, spins, index, inv, lo_inv = _class_layout(int(n_half))
+    log_w = params.beta * (params.J * bonds + params.B * spins)
+    rows = np.exp(log_w - log_w.max()).take(index).take(lo_inv, axis=1)
     if rows.shape[1] >= _PAIRWISE_BLOCK:
         total = rows.sum(axis=1)[inv]
         while len(total) > 1:

@@ -137,11 +137,14 @@ def _library() -> dict:
         "find_tmax 7x7 (J, B) grid": _tmax_grid,
         "exact_output_distribution depth 10, 32 stacked draws": _circuit_tables,
     }
-    for point in ((1.0, 0.3, 2.0), (1.0, 0.0, 1.0)):
-        for n_half in (5, 6, 8, 10):
-            library[f"enumerate_ring n_half={n_half} at {point}"] = (
-                lambda point=point, n_half=n_half: [enumerate_ring(IsingParams(*point), n_half).probs]
-            )
+    # (-1, 0.3, 0.01) is a cold antiferromagnet: classes that never occur
+    # there carry log-weights far above those of the classes that do.
+    rings = [(point, n_half) for point in ((1.0, 0.3, 2.0), (1.0, 0.0, 1.0))
+             for n_half in range(1, 11)]
+    for point, n_half in rings + [((-1.0, 0.3, 0.01), 10)]:
+        library[f"enumerate_ring n_half={n_half} at {point}"] = (
+            lambda point=point, n_half=n_half: [enumerate_ring(IsingParams(*point), n_half).probs]
+        )
     return library
 
 
