@@ -156,7 +156,8 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
         root = np.sqrt(squares[..., 0] + squares[..., 1])
         weight = (layer.weight[..., None] * root).reshape(runs, -1)
         root, joint = root.reshape(runs, -1), joint.reshape(runs, -1, 2)
-        memory = np.zeros(joint.shape)  # dead branches keep memory 0
+        memory = squares.reshape(joint.shape)  # squares' buffer, no longer read: no fresh array
+        memory.fill(0.0)  # dead branches keep memory 0
         for j in (0, 1):
             np.divide(joint[..., j], root, out=memory[..., j], where=root != 0)
         layer = BranchLayer(weight, memory)

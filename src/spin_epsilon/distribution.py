@@ -121,8 +121,9 @@ def _exact(x) -> np.ndarray:
     return np.array(texts, "S40").view("<u8").reshape(-1, 5)
 
 
-def _render(values) -> np.ndarray:
-    """``'%.17g' % x`` of every value, as one row of five words (see above) each."""
+def _render(values, blank=None) -> np.ndarray:
+    """``'%.17g' % x`` of every value, as one row of five words (see above) each.
+    Cells where the boolean array ``blank`` is True skip the exact route: the caller clears them."""
     x = np.asarray(values, dtype=float).reshape(-1)
     tab = _tables()
     a = np.abs(x)
@@ -168,6 +169,8 @@ def _render(values) -> np.ndarray:
     zero = x == 0
     out[zero, 1] = 48  # a = 1 stood in: one digit, no point
     slow = ~(fast | zero)
+    if blank is not None and slow.any():
+        slow &= ~np.asarray(blank, dtype=bool).reshape(-1)
     if slow.any():
         out[slow] = _exact(x[slow])
     return out
@@ -180,7 +183,7 @@ def csv_rows(table, blank=None) -> str:
     array ``blank`` (the table's shape) is True are left empty.
     """
     table = np.asarray(table, dtype=float)
-    words = _render(table).reshape(*table.shape, 5)
+    words = _render(table, blank).reshape(*table.shape, 5)
     if blank is not None:
         words[np.asarray(blank, dtype=bool)] = 0
     words[..., 4] |= _U(ord(",") << 56)

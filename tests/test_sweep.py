@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spin_epsilon.cli as cli
+import spin_epsilon.distribution as distribution
 import spin_epsilon.sweep as sweep_mod
 from spin_epsilon.distribution import csv_rows, format_float
 from spin_epsilon.quantum import complexity
@@ -315,6 +316,27 @@ def test_format_floats_shapes():
     assert csv_rows([[1.0, -0.0], [np.nan, 1e22]]) == "1,-0\nnan,1e+22\n"
     text = csv_rows([[1.0, 0.5], [10.0, 2e-5]], [[False, True], [False, False]])
     assert text == "1,\n10,2.0000000000000002e-05\n"
+
+
+def test_blank_cells_skip_the_exact_route(monkeypatch):
+    # A blank NaN ratio is cleared, never formatted: the exact scalar route
+    # sees no NaN from a sweep whose low-T ratio plateau is blank, while an
+    # unmasked NaN still goes there and prints "nan".
+    sent = []
+    exact = distribution._exact
+
+    def recording(x):
+        sent.extend(x.tolist())
+        return exact(x)
+
+    monkeypatch.setattr(distribution, "_exact", recording)
+    grid = temperature_grid(0.05, 100.0, 2 * CHUNK, "log")
+    rows = reference_rows(1.0, 3.0, grid)
+    assert sum(row[-1] is None for row in rows) > 100
+    assert written(1.0, 3.0, grid) == reference_csv(rows)
+    assert not any(math.isnan(x) for x in sent)
+    assert csv_rows([[np.nan]]) == "nan\n"
+    assert math.isnan(sent[-1])
 
 
 # Sweeps whose CSV cells take every layout: e-notation down to ~1e-261

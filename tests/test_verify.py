@@ -329,6 +329,14 @@ def _flip_where_cold(tm):
     return QuantumModel(amp=amp, weights=tm.p.copy())
 
 
+def assert_same_for_every_block_size(monkeypatch, check, expected, depth, whole):
+    """``check()`` equals ``expected`` at the default ``_BLOCK_ENTRIES``, with
+    blocks of 1 and 3 draws at ``depth``, and with ``whole`` entries (one block)."""
+    for entries in (verify._BLOCK_ENTRIES, 1, 3 << depth, whole):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", entries)
+        assert check() == expected, f"_BLOCK_ENTRIES = {entries}"
+
+
 @pytest.mark.parametrize("seed", [0, 7, 42, 123])
 @pytest.mark.parametrize("draws, max_length", [(1, 3), (31, 6), (33, 8), (100, 12)])
 @pytest.mark.parametrize("builder", [None, _sign_flipped_builder, _flip_where_cold])
@@ -337,8 +345,12 @@ def test_fidelity_saturation_matches_draw_by_draw_loop(
 ):
     if builder is not None:
         monkeypatch.setattr(verify, "build_quantum_model", builder)
-    assert check_fidelity_saturation(seed, draws, max_length) == (
-        reference_fidelity_saturation(seed, draws, max_length, verify.build_quantum_model)
+    expected = reference_fidelity_saturation(
+        seed, draws, max_length, verify.build_quantum_model
+    )
+    assert_same_for_every_block_size(
+        monkeypatch, lambda: check_fidelity_saturation(seed, draws, max_length), expected,
+        max_length, draws << max_length,
     )
 
 
@@ -379,8 +391,13 @@ def test_circuit_agreement_matches_draw_by_draw_loop(
     elif fault == "table":
         monkeypatch.setattr(verify, "exact_output_distribution", _shifted_table)
     args = (seed, draws, length, sync_draws, sync_depth)
-    result = check_circuit_agreement(*args)
-    assert result == reference_circuit_agreement(*args)
+    result = reference_circuit_agreement(*args)
+    # 3-draw blocks are those of the deeper part; the shallower part's blocks
+    # are larger by 2**(depth difference).
+    assert_same_for_every_block_size(
+        monkeypatch, lambda: check_circuit_agreement(*args), result,
+        max(length, sync_depth), max(draws << length, sync_draws << sync_depth),
+    )
     if fault == "u" and draws + sync_draws >= 70 or fault == "table" and draws >= 40:
         # Both messages are reached: the table gap whenever there are table
         # draws, the memory desynchronization when only U is off.
