@@ -3,7 +3,9 @@
 Subcommands: ``complexity``, ``sweep``, ``simulate``, ``tmax``, ``verify``.
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure (or a violated internal invariant), 2 usage error (also
-a failed write to stdout or ``--out``, or an array too large to allocate).
+a failed write to stdout or ``--out``, an array too large to allocate, or a
+``--t-min``/``--t-max`` range whose log grid overflows to inf near the double
+maximum).
 
 Each option is declared once, in :data:`OPTIONS`: its type, default, allowed
 values and help.  :data:`COMMANDS` names the options each subcommand takes;

@@ -241,14 +241,3 @@ class FutureDistribution:
                 f"expected {2**self.length} entries for length {self.length}, "
                 f"got shape {self.probs.shape}"
             )
-
-    def string(self, index: int) -> str:
-        """Render table index as a symbol string such as '+-+'."""
-        return symbol_string(index, self.length)
-
-    def marginalize_last(self) -> "FutureDistribution":
-        """Sum out the final symbol, giving the length-(L-1) table."""
-        if self.length < 2:
-            raise ValueError("nothing left to marginalize below length 2")
-        pairs = self.probs.reshape(*self.probs.shape[:-1], -1, 2)
-        return FutureDistribution(self.length - 1, pairs.sum(axis=-1))

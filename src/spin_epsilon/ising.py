@@ -77,11 +77,7 @@ class IsingParams:
     @property
     def beta(self) -> float:
         """Inverse temperature 1/T (exactly 0.0 for the T = inf flag)."""
-        return 0.0 if math.isinf(self.T) else 1.0 / self.T
-
-    @property
-    def infinite_temperature(self) -> bool:
-        return math.isinf(self.T)
+        return 1.0 / self.T
 
 
 @dataclass(frozen=True, eq=False)

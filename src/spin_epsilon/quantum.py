@@ -226,8 +226,11 @@ def find_tmax(
         raise ValueError(f"t_range must satisfy 0 < lo < hi < inf, got {t_range}")
     if not 0.0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    grid = np.logspace(np.log10(lo), np.log10(hi), 101)
-    grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside
+    with np.errstate(over="ignore"):  # the ends are pinned; other overflow is named below
+        grid = np.logspace(np.log10(lo), np.log10(hi), 101)
+    grid[0], grid[-1] = lo, hi  # logspace may land an endpoint one ulp outside, or at inf
+    if not np.isfinite(grid).all():
+        raise ValueError(f"log grid over t_range {t_range} overflows the double range")
     stats = complexity(J, B, grid)
     k = int(np.argmax(stats.c_q))
     # Unimodal: the nonzero steps of the profile never turn from falling to rising.

@@ -48,11 +48,6 @@ class RingEnsemble:
     params: IsingParams
     probs: np.ndarray
 
-    @property
-    def size(self) -> int:
-        """Number of spins on the ring (2*n_half + 1)."""
-        return 2 * self.n_half + 1
-
 
 def _half_classes(bits: int):
     """Classes of the ``bits``-bit halves, by bonds broken inside, down spins,

@@ -72,16 +72,24 @@ def compute_row(J: float, B: float, T: float) -> SweepRow:
 def temperature_grid(
     t_min: float, t_max: float, points: int, spacing: str = "log"
 ) -> np.ndarray:
-    """Deterministic temperature grid, linear or log spaced."""
+    """Deterministic temperature grid, linear or log spaced (``np.logspace``'s
+    points; a range whose log grid overflows to inf is rejected)."""
     if not 0 < t_min < t_max < np.inf:  # also rejects NaN
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    if spacing == "log":
-        return np.logspace(np.log10(t_min), np.log10(t_max), points)
-    if spacing == "linear":
-        return np.linspace(t_min, t_max, points)
-    raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    # linspace may overflow on the last point before setting it to t_max; a log
+    # grid that overflows is named below.
+    with np.errstate(over="ignore"):
+        if spacing == "log":
+            grid = np.logspace(np.log10(t_min), np.log10(t_max), points)
+        else:
+            grid = np.linspace(t_min, t_max, points)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"log grid over [{t_min}, {t_max}] overflows the double range")
+    return grid
 
 
 def sweep_table(J: float, B: float, grid) -> np.ndarray:

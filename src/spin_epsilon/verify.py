@@ -38,7 +38,7 @@ from .quantum import (QuantumModel, build_quantum_model, fidelity_saturation_che
                       mixture_eigenvalues, stationary_density)
 from .ring import _window, enumerate_ring, markov_gap
 
-__all__ = ["CheckResult", "draw_params", "run_verification", "VERIFY_LEVELS"]
+__all__ = ["CheckResult", "run_verification", "VERIFY_LEVELS"]
 
 # Per level: oracle ring sizes (n_half), fidelity (draws, max_length), circuit
 # (draws, length, sync_draws, sync_depth) and entropy grid points.
@@ -75,13 +75,8 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def draw_params(rng: np.random.Generator) -> IsingParams:
-    """One random parameter point from the verification box."""
-    return IsingParams(*_draw(rng, 1)[0])
-
-
 def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` box points as rows (J, B, T), in the RNG order of ``n`` draw_params calls."""
+    """``n`` box points as rows (J, B, T), in the RNG order of ``n`` one-point draws."""
     points = rng.uniform(_LOW, _HIGH, size=(n, 3))
     points[:, 2] = np.exp(points[:, 2])
     return points

@@ -23,7 +23,7 @@ from spin_epsilon import (
     transition_matrix,
 )
 from spin_epsilon.sweep import compute_row
-from spin_epsilon.verify import draw_params
+from spin_epsilon.verify import _draw
 
 
 def record(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -93,8 +93,8 @@ def test_criterion_3_fidelity_saturation():
     rng = np.random.default_rng(2024)
     worst_closed = 0.0
     worst_bound = -math.inf
-    for _ in range(500):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 500):
+        tm = transition_matrix(IsingParams(*point))
         model = build_quantum_model(tm)
         overlap = model.overlap()
         closed = math.sqrt(tm.t[0, 0] * tm.t[1, 0]) + math.sqrt(tm.t[0, 1] * tm.t[1, 1])
@@ -120,8 +120,8 @@ def test_criterion_4_fidelity_length_independence():
     started = time.perf_counter()
     rng = np.random.default_rng(77)
     worst_spread = 0.0
-    for _ in range(200):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 200):
+        tm = transition_matrix(IsingParams(*point))
         values = [classical_fidelity(tm, length) for length in range(1, 13)]
         worst_spread = max(worst_spread, max(values) - min(values))
     elapsed = time.perf_counter() - started
@@ -141,8 +141,8 @@ def test_criterion_5_circuit_correctness():
     started = time.perf_counter()
     rng = np.random.default_rng(404)
     worst_gap = 0.0
-    for _ in range(100):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 100):
+        tm = transition_matrix(IsingParams(*point))
         su = build_step_unitaries(build_quantum_model(tm))
         for start in (0, 1):
             for length in range(1, 11):
@@ -157,8 +157,8 @@ def test_criterion_5_circuit_correctness():
                 worst_gap = max(worst_gap, gap)
     all_synced = True
     worst_sync = 0.0
-    for _ in range(200):
-        model = build_quantum_model(transition_matrix(draw_params(rng)))
+    for point in _draw(rng, 200):
+        model = build_quantum_model(transition_matrix(IsingParams(*point)))
         report = assert_synchronization(build_step_unitaries(model), model, 6)
         all_synced = all_synced and report.passed
         worst_sync = max(worst_sync, report.max_deviation)

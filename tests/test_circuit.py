@@ -21,7 +21,7 @@ from spin_epsilon import (
 )
 from spin_epsilon import circuit
 from spin_epsilon.circuit import MAX_DEPTH, BranchLayer, SyncReport
-from spin_epsilon.verify import draw_params
+from spin_epsilon.verify import _draw
 
 
 def unitaries_for(J, B, T):
@@ -68,8 +68,8 @@ def test_u_is_identity_when_states_coincide():
 
 def test_unitaries_orthogonal_and_map_states():
     rng = np.random.default_rng(73)
-    for _ in range(200):
-        model = build_quantum_model(transition_matrix(draw_params(rng)))
+    for point in _draw(rng, 200):
+        model = build_quantum_model(transition_matrix(IsingParams(*point)))
         su = build_step_unitaries(model)
         np.testing.assert_allclose(su.v @ su.v.T, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(su.u @ su.u.T, np.eye(2), atol=1e-12)
@@ -94,8 +94,8 @@ def test_exact_distribution_uniform_quarters():
 
 def test_single_step_born_rule_equals_matrix_row():
     rng = np.random.default_rng(37)
-    for _ in range(50):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 50):
+        tm = transition_matrix(IsingParams(*point))
         su = build_step_unitaries(build_quantum_model(tm))
         for start in (0, 1):
             table = exact_output_distribution(su, start, 1)
@@ -114,7 +114,7 @@ def test_exact_distribution_matches_classical_tables():
 def test_exact_distribution_random_draws():
     rng = np.random.default_rng(41)
     for _ in range(20):
-        tm = transition_matrix(draw_params(rng))
+        tm = transition_matrix(IsingParams(*_draw(rng, 1)[0]))
         su = build_step_unitaries(build_quantum_model(tm))
         start = int(rng.integers(2))
         circuit = exact_output_distribution(su, start, 6)
@@ -275,7 +275,8 @@ def test_branch_memory_must_stay_one_qubit():
 
 def test_branch_layers_bit_identical_to_reference_walk():
     rng = np.random.default_rng(61)
-    cases = [(draw_params(rng), int(rng.integers(2)), int(rng.integers(1, 9))) for _ in range(30)]
+    cases = [(IsingParams(*_draw(rng, 1)[0]), int(rng.integers(2)), int(rng.integers(1, 9)))
+             for _ in range(30)]
     cases += [(IsingParams(1.0, 0.0, math.inf), 0, 8), (IsingParams(1.0, 0.3, 2.0), 1, 8)]
     runs = [
         (build_step_unitaries(build_quantum_model(transition_matrix(params))), start, length)
@@ -327,8 +328,8 @@ def test_synchronization_trivial_cases():
 
 def test_synchronization_random_draws():
     rng = np.random.default_rng(53)
-    for _ in range(50):
-        model = build_quantum_model(transition_matrix(draw_params(rng)))
+    for point in _draw(rng, 50):
+        model = build_quantum_model(transition_matrix(IsingParams(*point)))
         report = assert_synchronization(build_step_unitaries(model), model, 6)
         assert report.passed, str(report)
         assert report.max_deviation < 1e-12
@@ -390,7 +391,7 @@ def stacked(items):
 
 def test_stacked_runs_bit_identical_to_per_draw_calls():
     rng = np.random.default_rng(67)
-    params = [draw_params(rng) for _ in range(60)]
+    params = [IsingParams(*point) for point in _draw(rng, 60)]
     params += [IsingParams(1.0, 0.0, math.inf), IsingParams(3.0, 0.0, 0.05)]
     models = [build_quantum_model(transition_matrix(p)) for p in params]
     models.append(QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5])))  # zero outcomes
@@ -422,7 +423,7 @@ def test_stacked_angles_are_math_atan2_where_numpy_differs():
     # these draws; the stacked unitaries keep each draw's math.atan2 angles,
     # and every field equals the single-draw unitaries bit for bit.
     rng = np.random.default_rng(0)
-    models = [build_quantum_model(transition_matrix(draw_params(rng))) for _ in range(200)]
+    models = [build_quantum_model(transition_matrix(IsingParams(*point))) for point in _draw(rng, 200)]
     amp = np.stack([m.amp for m in models])
     expected = np.array([[math.atan2(a[i, 1], a[i, 0]) for i in (0, 1)] for a in amp])
     assert (np.arctan2(amp[..., 1], amp[..., 0]) != expected).any(axis=0).all()
@@ -451,7 +452,7 @@ def test_dead_rows_stay_out_of_synchronization():
     # |1> both outcomes live: cos(pi/2) leaves |s1> a 6e-17 first amplitude.)
     rng = np.random.default_rng(71)
     identity = QuantumModel(amp=np.eye(2), weights=np.array([0.5, 0.5]))
-    models = [build_quantum_model(transition_matrix(draw_params(rng))) for _ in range(4)]
+    models = [build_quantum_model(transition_matrix(IsingParams(*point))) for point in _draw(rng, 4)]
     models.insert(2, identity)
     sus = [build_step_unitaries(m) for m in models]
     su = stacked(sus)

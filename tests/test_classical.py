@@ -19,7 +19,8 @@ from spin_epsilon import (
     transition_matrix,
 )
 from spin_epsilon.classical import future_tables
-from spin_epsilon.verify import draw_params
+from spin_epsilon.distribution import symbol_string
+from spin_epsilon.verify import _draw
 
 
 def tm_literal(t, p):
@@ -77,14 +78,14 @@ def test_future_distribution_guards():
 def test_tables_normalize_and_marginalize_consistently():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        tm = transition_matrix(draw_params(rng))
+        tm = transition_matrix(IsingParams(*_draw(rng, 1)[0]))
         start = int(rng.integers(2))
         table = future_distribution(tm, start, 6)
         assert abs(table.probs.sum() - 1.0) < 1e-12 * len(table.probs)
         assert np.all(table.probs >= 0.0)
         # Marginalizing the last symbol reproduces the shorter table.
         np.testing.assert_allclose(
-            table.marginalize_last().probs,
+            table.probs.reshape(-1, 2).sum(-1),
             future_distribution(tm, start, 5).probs,
             atol=1e-12,
         )
@@ -92,8 +93,8 @@ def test_tables_normalize_and_marginalize_consistently():
 
 def test_stationary_mixture_reproduces_symbol_marginal():
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 100):
+        tm = transition_matrix(IsingParams(*point))
         mix = tm.p[0] * future_distribution(tm, 0, 4).probs + tm.p[1] * future_distribution(
             tm, 1, 4
         ).probs
@@ -114,8 +115,8 @@ def test_fidelity_vanishes_for_disjoint_futures():
 
 def test_fidelity_constant_in_length_and_matches_closed_form():
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 200):
+        tm = transition_matrix(IsingParams(*point))
         closed = math.sqrt(tm.t[0, 0] * tm.t[1, 0]) + math.sqrt(tm.t[0, 1] * tm.t[1, 1])
         values = [classical_fidelity(tm, length) for length in range(1, 13)]
         assert max(values) - min(values) < 1e-10
@@ -250,8 +251,8 @@ def test_samplers_match_reference_loop(J, B, T):
 def test_distribution_string_round_trip():
     tm = transition_matrix(IsingParams(1.0, 0.3, 2.0))
     table = future_distribution(tm, 0, 3)
-    assert table.string(0) == "+++"
-    assert table.string(5) == "-+-"
+    assert symbol_string(0, table.length) == "+++"
+    assert symbol_string(5, table.length) == "-+-"
 
 
 def test_machine_rejects_bad_state():
@@ -275,7 +276,7 @@ def reference_future_tables(tm, start, length):
 
 def test_stacked_future_tables_bit_identical_to_per_draw():
     rng = np.random.default_rng(29)
-    params = [draw_params(rng) for _ in range(40)] + [IsingParams(1.0, 0.3, math.inf)]
+    params = [IsingParams(*point) for point in _draw(rng, 40)] + [IsingParams(1.0, 0.3, math.inf)]
     tms = [transition_matrix(p) for p in params]
     stacked = TransitionMatrix(t=np.stack([tm.t for tm in tms]), p=np.stack([tm.p for tm in tms]))
     for start in (0, 1):
@@ -302,4 +303,3 @@ def test_stacked_shapes_are_checked():
         TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full((3, 2), 0.5)), 0, 3
     )
     assert table.probs.shape == (3, 8)
-    assert table.marginalize_last().probs.shape == (3, 4)

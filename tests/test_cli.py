@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -605,6 +606,27 @@ def test_import_loads_no_heavy_modules():
                             timeout=120, env=PACKAGE_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["[]", "0"]
+
+
+def test_every_layer_export_resolves():
+    # The benchmark tracer wraps each name in a layer module's __all__ (plus
+    # its listed extras) by getattr: a stale entry would crash traced runs.
+    import spin_epsilon
+
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {layer: getattr(spin_epsilon, layer) for layer in tracing.LAYERS}
+    missing = [
+        f"{layer}.{name}"
+        for layer, module in modules.items()
+        for name in getattr(module, "__all__", []) + tracing.EXTRA.get(layer, [])
+        if not hasattr(module, name)
+    ]
+    missing += [name for name in spin_epsilon.__all__ if not hasattr(spin_epsilon, name)]
+    assert missing == []
+    tracing.Tracer(spin_epsilon)  # builds its wrappers without installing them
 
 
 def test_closed_stdout_pipe_exits_quietly():

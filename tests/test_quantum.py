@@ -24,7 +24,7 @@ from spin_epsilon import (
 from spin_epsilon import quantum, verify
 from spin_epsilon.ising import transition_arrays
 from spin_epsilon.sweep import compute_row
-from spin_epsilon.verify import draw_params
+from spin_epsilon.verify import _draw
 
 # (J=1, B=0, T=1): overlap 2*sqrt(t00*t01) and the resulting memory entropy.
 OVERLAP_SYMMETRIC = 0.6480542736638853
@@ -54,8 +54,8 @@ def test_near_deterministic_rows_give_orthogonal_states():
 
 def test_amplitudes_unit_norm_and_overlap_closed_form():
     rng = np.random.default_rng(61)
-    for _ in range(300):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 300):
+        tm = transition_matrix(IsingParams(*point))
         model = build_quantum_model(tm)
         np.testing.assert_allclose(
             np.sum(model.amp**2, axis=1), [1.0, 1.0], atol=1e-12
@@ -90,8 +90,8 @@ def test_density_orthogonal_states_is_maximally_mixed():
 
 def test_density_invariants_and_closed_form_eigenvalues():
     rng = np.random.default_rng(29)
-    for _ in range(200):
-        model = build_quantum_model(transition_matrix(draw_params(rng)))
+    for point in _draw(rng, 200):
+        model = build_quantum_model(transition_matrix(IsingParams(*point)))
         rho = stationary_density(model)
         (w0, w1), (a0, a1) = model.weights, model.amp
         assert rho.tobytes() == (w0 * np.outer(a0, a0) + w1 * np.outer(a1, a1)).tobytes()
@@ -171,8 +171,8 @@ def test_model_weights_must_match_amplitude_shape():
 
 def test_quantum_never_beats_classical_memory():
     rng = np.random.default_rng(97)
-    for _ in range(300):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 300):
+        tm = transition_matrix(IsingParams(*point))
         model = build_quantum_model(tm)
         c_mu = statistical_complexity(tm)
         c_q = quantum_statistical_complexity(model)
@@ -197,8 +197,8 @@ def test_saturation_check_trivial_cases():
 
 def test_saturation_check_random_draws():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 100):
+        tm = transition_matrix(IsingParams(*point))
         report = fidelity_saturation_check(tm, build_quantum_model(tm))
         assert report.passed, str(report)
 
@@ -218,8 +218,8 @@ def test_saturation_fidelities_come_from_one_expansion_per_start(monkeypatch):
     monkeypatch.setattr(quantum, "future_tables", counted)
     rng = np.random.default_rng(11)
     tms, reports = [], []
-    for _ in range(40):
-        tm = transition_matrix(draw_params(rng))
+    for point in _draw(rng, 40):
+        tm = transition_matrix(IsingParams(*point))
         expansions.clear()
         report = fidelity_saturation_check(tm, build_quantum_model(tm), 12)
         assert sorted(expansions) == [0, 1]
@@ -259,7 +259,7 @@ def test_mixture_entropy_decreases_with_overlap():
 def test_looser_encodings_cost_at_least_cq():
     rng = np.random.default_rng(13)
     for _ in range(200):
-        tm = transition_matrix(draw_params(rng))
+        tm = transition_matrix(IsingParams(*_draw(rng, 1)[0]))
         model = build_quantum_model(tm)
         c_q = quantum_statistical_complexity(model)
         overlap = model.overlap()

@@ -147,7 +147,7 @@ def test_non_integral_ring_size_rejected():
     # True is an int equal to 1, and would hash as 1 in the layout cache.
     with pytest.raises(ValueError, match="n_half must be an integer.*True"):
         enumerate_ring(IsingParams(1.0, 0.3, 2.0), True)
-    assert enumerate_ring(IsingParams(1.0, 0.3, 2.0), np.int64(2)).size == 5
+    assert enumerate_ring(IsingParams(1.0, 0.3, 2.0), np.int64(2)).n_half == 2
 
 
 @pytest.mark.parametrize("n_half", [1, 2, 7, 10])
@@ -206,7 +206,7 @@ def test_class_layout_is_a_read_only_constant(n_half):
 def reference_site_marginals(ens):
     """One reshape-and-sum pass over the whole table per site."""
     return np.array(
-        [float(ens.probs.reshape(-1, 2, 2**k)[:, 0].sum()) for k in range(ens.size)]
+        [float(ens.probs.reshape(-1, 2, 2**k)[:, 0].sum()) for k in range(2 * ens.n_half + 1)]
     )
 
 

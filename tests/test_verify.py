@@ -5,22 +5,21 @@ import pytest
 
 import spin_epsilon.circuit as circuit
 import spin_epsilon.verify as verify
-from spin_epsilon import FutureDistribution, QuantumModel, mixture_eigenvalues
+from spin_epsilon import FutureDistribution, IsingParams, QuantumModel, mixture_eigenvalues
 from spin_epsilon.verify import (
     CheckResult,
     check_circuit_agreement,
     check_entropy_monotonicity,
     check_fidelity_saturation,
     check_oracle_convergence,
-    draw_params,
     run_verification,
 )
 
 
 def test_draw_params_stay_in_box():
     rng = np.random.default_rng(1)
-    for _ in range(500):
-        params = draw_params(rng)
+    for point in verify._draw(rng, 500):
+        params = IsingParams(*point)
         assert -3.0 <= params.J <= 3.0
         assert -3.0 <= params.B <= 3.0
         assert 0.05 <= params.T <= 100.0
@@ -28,12 +27,12 @@ def test_draw_params_stay_in_box():
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 123])
 def test_block_draws_follow_draw_params_order(seed):
-    # Blocks of rows (J, B, T) hold the draw_params sequence bit for bit and
-    # leave the generator where the single draws leave it.
+    # Blocks of rows (J, B, T) hold the one-point draw sequence bit for bit
+    # and leave the generator where the single draws leave it.
     singles, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = [draw_params(singles) for _ in range(100)]
+    expected = [verify._draw(singles, 1)[0].tolist() for _ in range(100)]
     rows = [row for n in (1, 32, 67) for row in verify._draw(blocks, n).tolist()]
-    assert rows == [[p.J, p.B, p.T] for p in expected]
+    assert rows == expected
     assert blocks.random() == singles.random()
 
 
@@ -248,8 +247,8 @@ def reference_fidelity_saturation(
     """The draw-by-draw loop: one transition matrix, model and check per draw."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
-        params = draw_params(rng)
+    for point in verify._draw(rng, draws):
+        params = IsingParams(*point)
         tm = verify.transition_matrix(params)
         report = verify.fidelity_saturation_check(tm, model_builder(tm), max_length)
         worst = max(worst, report.max_gap)
@@ -271,8 +270,8 @@ def reference_circuit_agreement(seed, draws, length, sync_draws, sync_depth):
     """The draw-by-draw loop: one circuit walk and one table per draw and start."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
-        params = draw_params(rng)
+    for point in verify._draw(rng, draws):
+        params = IsingParams(*point)
         tm = verify.transition_matrix(params)
         su = verify.build_step_unitaries(verify.build_quantum_model(tm))
         for start in (0, 1):
@@ -292,8 +291,8 @@ def reference_circuit_agreement(seed, draws, length, sync_draws, sync_depth):
                     f"first counterexample at (J={params.J}, B={params.B}, "
                     f"T={params.T}), start={start}: max entry gap {delta:.3g}",
                 )
-    for _ in range(sync_draws):
-        params = draw_params(rng)
+    for point in verify._draw(rng, sync_draws):
+        params = IsingParams(*point)
         tm = verify.transition_matrix(params)
         model = verify.build_quantum_model(tm)
         su = verify.build_step_unitaries(model)
