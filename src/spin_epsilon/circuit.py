@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .classical import BIT_PAIRS, MAX_TABLE_LENGTH, scan_states
-from .distribution import FutureDistribution, symbol_string
+from .distribution import FutureDistribution, check_integer, symbol_string
 from .quantum import QuantumModel
 
 __all__ = [
@@ -74,8 +74,7 @@ class StepUnitaries:
 
     def causal_state(self, index: int) -> np.ndarray:
         """Memory state vector |s_index>, shape ``(..., 2)``."""
-        if index not in (0, 1):
-            raise ValueError(f"index must be 0 or 1, got {index}")
+        check_integer(index, 0, 1, "index must be 0 or 1, got {value}")
         state = self.v @ _KET0
         return state if index == 0 else (self.u @ state[..., None])[..., 0]
 
@@ -140,8 +139,7 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     sum to one at every depth: a run whose ``math.fsum`` total is not within
     1e-12 of one raises ``RuntimeError`` (see ``_check_normalization``).
     """
-    if not 1 <= length <= MAX_DEPTH:
-        raise ValueError(f"length must be in [1, {MAX_DEPTH}], got {length}")
+    check_integer(length, 1, MAX_DEPTH, "length must be in [1, {hi}], got {value}")
     # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
     pair = np.stack([su.causal_state(0), su.causal_state(1)], axis=-2).reshape(-1, 2, 2)
     runs = len(pair)
@@ -264,10 +262,8 @@ def sample_quantum_trajectory(
     collapses to the emitted symbol's memory state.  A Generator as ``seed``
     is used as is, continuing its stream.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if start not in (0, 1):
-        raise ValueError(f"start must be 0 or 1, got {start}")
+    check_integer(steps, 0, None, "steps must be >= 0, got {value}")
+    check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
     states = (su.causal_state(0), su.causal_state(1))
     m00, m10 = float(states[0][0]), float(states[1][0])
     draws = np.random.default_rng(seed).random(steps)

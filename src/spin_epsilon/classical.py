@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .distribution import FutureDistribution, binary_entropy_bits
+from .distribution import FutureDistribution, binary_entropy_bits, check_integer
 from .ising import TransitionMatrix
 
 __all__ = [
@@ -68,12 +68,8 @@ def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.
     through: each table has shape ``tm.t.shape[:-2] + (2**L,)``.  Arguments
     are checked when iteration starts.
     """
-    if start not in (0, 1):
-        raise ValueError(f"start must be 0 or 1, got {start}")
-    if not 1 <= length <= MAX_TABLE_LENGTH:
-        raise ValueError(
-            f"length must be in [1, {MAX_TABLE_LENGTH}], got {length}"
-        )
+    check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
+    check_integer(length, 1, MAX_TABLE_LENGTH, "length must be in [1, {hi}], got {value}")
     t = tm.t
     lead = t.shape[:-2]
     probs = t[..., start, :].copy()
@@ -153,15 +149,13 @@ class EpsilonMachine:
         self.reset(state, seed)
 
     def reset(self, state: int, seed: int | None = None) -> None:
-        if state not in (0, 1):
-            raise ValueError(f"state must be 0 or 1, got {state}")
+        check_integer(state, 0, 1, "state must be 0 or 1, got {value}")
         self.state = state
         self.rng = np.random.default_rng(seed)
 
     def run(self, steps: int) -> np.ndarray:
         """Emit ``steps`` symbols; returns an int8 array of +1/-1 values."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
+        check_integer(steps, 0, None, "steps must be >= 0, got {value}")
         t = self.tm.t
         states = scan_states(t[0, 0], t[1, 0], self.state, self.rng.random(steps))
         if steps:

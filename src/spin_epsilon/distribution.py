@@ -1,4 +1,7 @@
-"""Exact probability tables over length-L strings of +1/-1 symbols."""
+"""The base module: the symbol convention, exact probability tables over
+length-L strings of +1/-1 symbols, the text renderers (floats, CSV rows,
+symbol lines) and the one rule for integer arguments (:func:`check_integer`).
+"""
 
 from __future__ import annotations
 
@@ -23,6 +26,14 @@ SYMBOL_CHARS = "+-"
 def symbol_string(index: int, length: int) -> str:
     """Render the index of a length-``length`` string, top bit first, as symbols: '+-+'."""
     return "".join(SYMBOL_CHARS[int(b)] for b in format(index, f"0{length}b"))
+
+
+def check_integer(value, lo: int, hi: int | None, message: str) -> None:
+    """Pass a Python or numpy integer, not a bool, in ``[lo, hi]`` (``hi=None``: no
+    upper bound); else raise ``ValueError(message.format(hi=hi, value=value))``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        raise ValueError(message.format(hi=hi, value=value))
 
 
 def format_float(x: float) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import FutureDistribution
+from .distribution import FutureDistribution, check_integer
 from .ising import IsingParams
 
 __all__ = [
@@ -105,9 +105,7 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     that is the binary tree, in index order, of the gathered row sums; smaller
     rings, whose blocks span several rows, sum the gathered table.
     """
-    integral = isinstance(n_half, (int, np.integer)) and not isinstance(n_half, bool)
-    if not (integral and 1 <= n_half <= MAX_N_HALF):
-        raise ValueError(f"n_half must be an integer in [1, {MAX_N_HALF}], got {n_half!r}")
+    check_integer(n_half, 1, MAX_N_HALF, "n_half must be an integer in [1, {hi}], got {value!r}")
     bonds, spins, index, inv, lo_inv = _class_layout(int(n_half))
     log_w = params.beta * (params.J * bonds + params.B * spins)
     rows = np.exp(log_w - log_w.max()).take(index).take(lo_inv, axis=1)
@@ -159,8 +157,7 @@ def _colsum(a: np.ndarray) -> np.ndarray:
 
 def _window(ens: RingEnsemble, length: int) -> np.ndarray:
     """Joint law of sites 0..length, shape ``(2, 2**length)``: row = site 0's symbol."""
-    if not 1 <= length <= ens.n_half:
-        raise ValueError(f"length must be in [1, n_half={ens.n_half}], got {length}")
+    check_integer(length, 1, ens.n_half, "length must be in [1, n_half={hi}], got {value}")
     # Sites 0..L are the low index bits: summing the high ones leaves the window,
     # and reversing its bit axes puts site 0 first (most significant).
     window = _colsum(ens.probs.reshape(-1, 2 ** (length + 1)))
@@ -203,6 +200,8 @@ def extrapolated_conditional(
     delta-squared limit of three successive ring sizes removes it.  The
     extrapolated table is renormalized.
     """
+    if len(n_halves) != 3:
+        raise ValueError(f"n_halves must be three ring sizes, got {n_halves!r}")
     tables = [
         conditional_from_ring(enumerate_ring(params, n), condition, length).probs
         for n in n_halves
@@ -220,10 +219,7 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
     for the infinite chain and quantifies the finite ring's wrap-around
     deviation from the Markov property.
     """
-    if not 1 <= length <= ens.n_half - 1:
-        raise ValueError(
-            f"length must be in [1, n_half-1={ens.n_half - 1}], got {length}"
-        )
+    check_integer(length, 1, ens.n_half - 1, "length must be in [1, n_half-1={hi}], got {value}")
     # Each weight is looked up by its rotation-invariant class, so sites
     # 0..L+1 hold the exact law of L history sites, then x_0, then x_1.
     joint = _window(ens, length + 1).reshape(-1, 2)  # rows = (history, x_0), cols = x_1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import csv_rows
+from .distribution import check_integer, csv_rows
 from .quantum import complexity
 
 __all__ = [
@@ -76,8 +76,7 @@ def temperature_grid(
     points; a range whose log grid overflows to inf is rejected)."""
     if not 0 < t_min < t_max < np.inf:  # also rejects NaN
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    check_integer(points, 2, None, "points must be >= 2, got {value}")
     if spacing not in ("linear", "log"):
         raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     # linspace may overflow on the last point before setting it to t_max; a log

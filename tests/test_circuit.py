@@ -324,6 +324,9 @@ def test_synchronization_trivial_cases():
     assert assert_synchronization(
         build_step_unitaries(model_cold), model_cold, 4
     ).passed
+    model = build_quantum_model(transition_matrix(IsingParams(1.0, 0.3, 2.0)))
+    report = assert_synchronization(build_step_unitaries(model), model, 3)
+    assert str(report) == "PASS: max synchronization deviation 0"
 
 
 def test_synchronization_random_draws():

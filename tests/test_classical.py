@@ -1,21 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spin_epsilon import (
     EpsilonMachine,
+    FutureDistribution,
     IsingParams,
     TransitionMatrix,
     classical_fidelity,
+    conditional_from_ring,
+    enumerate_ring,
+    exact_output_distribution,
     extrapolated_conditional,
     future_distribution,
     build_quantum_model,
     build_step_unitaries,
+    markov_gap,
     sample_quantum_trajectory,
     sample_trajectory,
     statistical_complexity,
     symbols_to_line,
+    temperature_grid,
     transition_matrix,
 )
 from spin_epsilon.classical import future_tables
@@ -264,6 +271,61 @@ def test_machine_rejects_bad_state():
         machine.run(-1)
 
 
+_PARAMS = IsingParams(1.0, 0.3, 2.0)
+_TM = transition_matrix(_PARAMS)
+_SU = build_step_unitaries(build_quantum_model(_TM))
+_RING = enumerate_ring(_PARAMS, 3)
+
+# Every integer argument of the library: (site, call, lo, hi or None, the
+# message for a value, a float to try).  True is an int equal to 1 that numpy
+# reads as a mask (and that would hash as 1 in the ring layout cache); an
+# n_half of 2.5 would make a 6-spin ring, which the 2*n_half + 1 design excludes.
+INTEGER_SITES = [
+    ("future_tables.start", lambda v: future_distribution(_TM, v, 3), 0, 1,
+     "start must be 0 or 1, got {}", 1.0),
+    ("EpsilonMachine.reset.state", lambda v: EpsilonMachine(_TM, v), 0, 1,
+     "state must be 0 or 1, got {}", 1.0),
+    ("StepUnitaries.causal_state.index", lambda v: _SU.causal_state(v), 0, 1,
+     "index must be 0 or 1, got {}", 1.0),
+    ("sample_quantum_trajectory.start", lambda v: sample_quantum_trajectory(_SU, v, 3, 0), 0, 1,
+     "start must be 0 or 1, got {}", 1.0),
+    ("future_tables.length", lambda v: future_distribution(_TM, 0, v), 1, 20,
+     "length must be in [1, 20], got {}", 2.0),
+    ("branch_layers.length", lambda v: exact_output_distribution(_SU, 0, v), 1, 20,
+     "length must be in [1, 20], got {}", 2.0),
+    ("enumerate_ring.n_half", lambda v: enumerate_ring(_PARAMS, v), 1, 10,
+     "n_half must be an integer in [1, 10], got {!r}", 2.5),
+    ("conditional_from_ring.length", lambda v: conditional_from_ring(_RING, 1, v), 1, 3,
+     "length must be in [1, n_half=3], got {}", 2.0),
+    ("markov_gap.length", lambda v: markov_gap(_RING, v), 1, 2,
+     "length must be in [1, n_half-1=2], got {}", 2.0),
+    ("EpsilonMachine.run.steps", lambda v: EpsilonMachine(_TM).run(v), 0, None,
+     "steps must be >= 0, got {}", 2.0),
+    ("sample_quantum_trajectory.steps", lambda v: sample_quantum_trajectory(_SU, 0, v, 0), 0, None,
+     "steps must be >= 0, got {}", 2.0),
+    ("temperature_grid.points", lambda v: temperature_grid(0.5, 2.0, v), 2, None,
+     "points must be >= 2, got {}", 2.5),
+]
+
+
+def integer_cases():
+    """True, a float and each bound's outside neighbour must raise the site's
+    message; a numpy integer at the low bound must pass (message None)."""
+    for site, call, lo, hi, message, real in INTEGER_SITES:
+        for value in [True, real, lo - 1] + ([] if hi is None else [hi + 1]):
+            yield pytest.param(call, value, message.format(value), id=f"{site}={value!r}")
+        yield pytest.param(call, np.int64(lo), None, id=f"{site}=int64")
+
+
+@pytest.mark.parametrize("call, value, message", integer_cases())
+def test_integer_arguments_follow_one_rule(call, value, message):
+    if message is None:
+        call(value)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 def reference_future_tables(tm, start, length):
     """The gather-and-tile expansion: each entry's next row read by its last state."""
     probs = np.ones(1)
@@ -299,6 +361,8 @@ def test_stacked_shapes_are_checked():
         tm_literal([[0.5, 0.5]], [1.0])
     with pytest.raises(ValueError, match="shape"):
         TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full(2, 0.5))
+    with pytest.raises(ValueError, match=r"^expected 8 entries for length 3, got shape \(7,\)$"):
+        FutureDistribution(3, np.zeros(7))
     table = future_distribution(
         TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full((3, 2), 0.5)), 0, 3
     )

@@ -428,6 +428,9 @@ def test_negative_seed_names_the_option(capsys, command):
         (("complexity", "--J=1e300", "--B=0", "--T=1"),
          "transfer matrix underflows double precision for these parameters "
          "(J=1e+300, B=0.0, T=1.0)"),
+        (("tmax", "--t-min=1.7976931348623e308", "--t-max=1.7976931348623157e+308"),
+         "log grid over t_range (1.7976931348623e+308, 1.7976931348623157e+308) "
+         "overflows the double range"),
     ],
 )
 def test_out_of_range_exponents_exit_two_with_one_error_line(capsys, args, message):
@@ -480,7 +483,7 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys, sequence
 
 def test_config_file_precedence(tmp_path, capsys):
     config = tmp_path / "chain.cfg"
-    config.write_text("J = 2.0\nB = 0.0  # field\nT = 1.0\n")
+    config.write_text("# chain\n\nJ = 2.0\nB = 0.0  # field\nT = 1.0\n")
     # Config value used when the flag is absent.
     code, out, _ = run_cli(
         capsys, "complexity", "--config", str(config), "--format", "json"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -140,21 +141,19 @@ def test_window_guards():
         markov_gap(ens, 4)
 
 
-def test_non_integral_ring_size_rejected():
-    # 2.5 would make a 6-spin ring, an even ring the 2*n_half + 1 design excludes.
-    with pytest.raises(ValueError, match="n_half must be an integer.*2.5"):
-        enumerate_ring(IsingParams(1.0, 0.3, 2.0), 2.5)
-    # True is an int equal to 1, and would hash as 1 in the layout cache.
-    with pytest.raises(ValueError, match="n_half must be an integer.*True"):
-        enumerate_ring(IsingParams(1.0, 0.3, 2.0), True)
-    assert enumerate_ring(IsingParams(1.0, 0.3, 2.0), np.int64(2)).n_half == 2
+def test_extrapolation_needs_three_ring_sizes():
+    for n_halves in ((1, 2), (1, 2, 3, 4)):
+        message = re.escape(f"n_halves must be three ring sizes, got {n_halves!r}")
+        with pytest.raises(ValueError, match=message):
+            extrapolated_conditional(IsingParams(1.0, 0.3, 2.0), 1, 1, n_halves)
 
 
 @pytest.mark.parametrize("n_half", [1, 2, 7, 10])
 def test_numpy_integer_ring_size_gives_the_same_table(n_half):
     params = IsingParams(-1.0, 0.5, 0.7)
     expected = enumerate_ring(params, n_half).probs.tobytes()
-    assert enumerate_ring(params, np.int64(n_half)).probs.tobytes() == expected
+    ens = enumerate_ring(params, np.int64(n_half))
+    assert ens.probs.tobytes() == expected and ens.n_half == n_half
 
 
 def reference_ring_probs(params, n_half):
