@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .classical import BIT_PAIRS, MAX_TABLE_LENGTH, scan_states
+from .classical import MAX_TABLE_LENGTH, _double, scan_states
 from .distribution import FutureDistribution, check_integer, symbol_string
 from .quantum import QuantumModel
 
@@ -71,6 +71,14 @@ class StepUnitaries:
     u: np.ndarray
     theta0: float | np.ndarray
     theta1: float | np.ndarray
+
+    def __post_init__(self):
+        lead, angles = self.v.shape[:-2], (np.shape(self.theta0), np.shape(self.theta1))
+        if self.v.shape[-2:] != (2, 2) or self.u.shape != self.v.shape or angles != (lead, lead):
+            raise ValueError(
+                "expected v and u of shape (..., 2, 2) and angles of shape (...), got "
+                f"v {self.v.shape}, u {self.u.shape} and angles {angles}"
+            )
 
     def causal_state(self, index: int) -> np.ndarray:
         """Memory state vector |s_index>, shape ``(..., 2)``."""
@@ -145,11 +153,7 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     runs = len(pair)
     layer = BranchLayer(np.ones((runs, 1)), su.causal_state(start).reshape(runs, 1, 2))
     for depth in range(1, length + 1):
-        # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j], built column by
-        # column so that every inner loop runs over branches.
-        joint = np.empty(layer.memory.shape + (2,))
-        for k, j in BIT_PAIRS:
-            np.multiply(layer.memory[..., k], pair[:, k, j, None], out=joint[..., k, j])
+        joint = _double(layer.memory, pair)  # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j]
         squares = joint * joint
         root = np.sqrt(squares[..., 0] + squares[..., 1])
         weight = (layer.weight[..., None] * root).reshape(runs, -1)
@@ -228,6 +232,9 @@ def assert_synchronization(
     :class:`SyncReport`; with leading draw axes on ``su`` and ``model``, a
     list of them, one per draw in C order.
     """
+    if su.v.shape != model.amp.shape:
+        raise ValueError(f"su and model must stack the same draws, got v of shape "
+                         f"{su.v.shape} and amp of shape {model.amp.shape}")
     amp = model.amp.reshape(-1, 2, 2)
     worst = np.zeros(len(amp))
     first = [None] * len(amp)
@@ -262,6 +269,8 @@ def sample_quantum_trajectory(
     collapses to the emitted symbol's memory state.  A Generator as ``seed``
     is used as is, continuing its stream.
     """
+    if su.v.ndim != 2:
+        raise ValueError(f"sample_quantum_trajectory takes one model, got v of shape {su.v.shape}")
     check_integer(steps, 0, None, "steps must be >= 0, got {value}")
     check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
     states = (su.causal_state(0), su.causal_state(1))

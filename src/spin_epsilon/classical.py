@@ -38,14 +38,21 @@ MERGE_TOL = 1e-12
 
 MAX_TABLE_LENGTH = 20  # 2**20-entry table guard
 
-BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # np.ndindex(2, 2) without its 3 us per loop
-
 
 def merged_rows(t: np.ndarray) -> np.ndarray:
     """Whether the rows of each ``t`` (shape ``(..., 2, 2)``) coincide within
     ``MERGE_TOL``: the causal states then merge, which is how the
     infinite-temperature discontinuity shows up."""
     return np.abs(t[..., 0, :] - t[..., 1, :]).max(axis=-1) <= MERGE_TOL
+
+
+def _double(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``out[..., h, k, j] = a[..., h, k] * m[..., k, j]``: entry 2h + k times row k of
+    ``m``, by one strided multiply per (k, j) so that every inner loop runs over h."""
+    out = np.empty(a.shape + (2,))
+    for k, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        np.multiply(a[..., k], m[..., None, k, j], out=out[..., k, j])
+    return out
 
 
 def statistical_complexity(tm: TransitionMatrix) -> float | np.ndarray:
@@ -75,14 +82,8 @@ def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.
     probs = t[..., start, :].copy()
     yield probs
     for _ in range(length - 1):
-        # Entry 2k + s ends in symbol s, so it continues with row t[s]: a
-        # broadcast product, one strided multiply per (s, j) so that the
-        # inner loops run over k rather than over the two entries of a row.
-        pairs = probs.reshape(*lead, -1, 2)
-        probs = np.empty(pairs.shape + (2,))
-        for s, j in BIT_PAIRS:
-            np.multiply(pairs[..., s], t[..., None, s, j], out=probs[..., s, j])
-        probs = probs.reshape(*lead, -1)
+        # Entry 2h + k ends in symbol k, so it continues with row t[k].
+        probs = _double(probs.reshape(*lead, -1, 2), t).reshape(*lead, -1)
         yield probs
 
 
@@ -145,6 +146,8 @@ class EpsilonMachine:
     """
 
     def __init__(self, tm: TransitionMatrix, state: int = 0, seed: int | None = None):
+        if tm.t.ndim != 2:
+            raise ValueError(f"EpsilonMachine takes one model, got t of shape {tm.t.shape}")
         self.tm = tm
         self.reset(state, seed)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .classical import EpsilonMachine, sample_trajectory
 from .circuit import build_step_unitaries, sample_quantum_trajectory
-from .distribution import format_float, symbols_to_line
+from .distribution import check_integer, format_float, symbols_to_line
 from .ising import IsingParams, transition_matrix
 from .quantum import build_quantum_model, find_tmax
 from .sweep import CSV_HEADER, compute_row, sweep_table, temperature_grid, write_sweep
@@ -169,19 +169,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seed(seed: int) -> int:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     tm = transition_matrix(IsingParams(args.J, args.B, args.T))
     start = _parse_start(args.start)
     steps = args.steps
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    rng = np.random.default_rng(_seed(args.seed))
+    check_integer(steps, 0, None, "steps must be >= 0, got {value}")
+    check_integer(args.seed, 0, None, "seed must be >= 0, got {value}")
+    rng = np.random.default_rng(args.seed)
     if steps == 0:
         return EXIT_OK
     # Chunks share one Generator and carry the state: one call's stream.
@@ -222,7 +216,8 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     level = args.level
-    results = run_verification(level, _seed(args.seed))
+    check_integer(args.seed, 0, None, "seed must be >= 0, got {value}")
+    results = run_verification(level, args.seed)
     for result in results:
         print(result)
     if all(r.passed for r in results):

@@ -177,6 +177,9 @@ def fidelity_saturation_check(
     Returns one :class:`SaturationReport`; with leading draw axes on ``tm``
     and ``model``, a list of them, one per draw in C order.
     """
+    if tm.t.shape != model.amp.shape:
+        raise ValueError(f"tm and model must stack the same draws, got t of shape "
+                         f"{tm.t.shape} and amp of shape {model.amp.shape}")
     overlap = np.asarray(model.overlap())[..., None]
     # classical_fidelity(tm, L) for every L, from one expansion per start.
     tables = zip(future_tables(tm, 0, max_length), future_tables(tm, 1, max_length))

@@ -172,8 +172,9 @@ def conditional_from_ring(
     ``condition`` is the spin value at site 0 (+1 or -1); ``length`` <= n_half
     keeps the window clear of the periodic wrap.
     """
-    if condition not in (1, -1):
-        raise ValueError(f"condition must be +1 or -1, got {condition}")
+    check_integer(condition, -1, 1, "condition must be +1 or -1, got {value}")
+    if condition == 0:
+        raise ValueError("condition must be +1 or -1, got 0")
     block = _window(ens, length)[0 if condition == 1 else 1]
     return FutureDistribution(length, block / block.sum())
 

@@ -56,8 +56,6 @@ _HIGH = (3.0, 3.0, np.log(100.0))
 _SHORT_CORR = (1.0, 0.3, 2.0)
 _LONG_CORR = (1.0, 0.0, 1.0)
 
-_COUNTEREXAMPLE = "first counterexample at (J={}, B={}, T={})"
-
 # Record-table entries per stacked call.  At depth 12 this is 32 draws a
 # block: between passes of the oracle workload, fidelity blocks of 16 or 64
 # draws measured 1.15x and 1.08-1.11x slower.  Shallower checks gain from
@@ -90,6 +88,12 @@ def _draw_blocks(rng: np.random.Generator, draws: int, depth: int):
     for lo in range(0, draws, block):
         points = _draw(rng, min(block, draws - lo))
         yield points.tolist(), TransitionMatrix(*transition_arrays(*points.T))
+
+
+def _counterexample(name: str, point: list, detail: str) -> CheckResult:
+    """A failed check named by its first failing draw ``point`` = (J, B, T)."""
+    J, B, T = point
+    return CheckResult(name, False, f"first counterexample at (J={J}, B={B}, T={T}){detail}")
 
 
 def _budgets(level: str) -> tuple:
@@ -151,9 +155,7 @@ def check_fidelity_saturation(seed: int, draws: int, max_length: int = 12) -> Ch
         for point, report in zip(points, reports):
             worst = max(worst, report.max_gap)
             if not report.passed:
-                return CheckResult(
-                    "fidelity-saturation", False, _COUNTEREXAMPLE.format(*point) + f": {report}"
-                )
+                return _counterexample("fidelity-saturation", point, f": {report}")
     return CheckResult(
         "fidelity-saturation",
         True,
@@ -183,21 +185,15 @@ def check_circuit_agreement(
         bad = np.flatnonzero(gaps > 1e-12)
         if bad.size:
             i, start = divmod(int(bad[0]), 2)
-            return CheckResult(
-                "circuit-agreement",
-                False,
-                _COUNTEREXAMPLE.format(*points[i])
-                + f", start={start}: max entry gap {gaps[i, start]:.3g}",
-            )
+            detail = f", start={start}: max entry gap {gaps[i, start]:.3g}"
+            return _counterexample("circuit-agreement", points[i], detail)
         worst = max(worst, float(gaps.max()))
     for points, tm in _draw_blocks(rng, sync_draws, sync_depth):
         model = build_quantum_model(tm)
         reports = assert_synchronization(build_step_unitaries(model), model, sync_depth)
         for point, report in zip(points, reports):
             if not report.passed:
-                return CheckResult(
-                    "circuit-agreement", False, _COUNTEREXAMPLE.format(*point) + f": {report}"
-                )
+                return _counterexample("circuit-agreement", point, f": {report}")
     return CheckResult(
         "circuit-agreement",
         True,

@@ -8,12 +8,15 @@ from spin_epsilon import (
     EpsilonMachine,
     FutureDistribution,
     IsingParams,
+    StepUnitaries,
     TransitionMatrix,
+    assert_synchronization,
     classical_fidelity,
     conditional_from_ring,
     enumerate_ring,
     exact_output_distribution,
     extrapolated_conditional,
+    fidelity_saturation_check,
     future_distribution,
     build_quantum_model,
     build_step_unitaries,
@@ -26,6 +29,7 @@ from spin_epsilon import (
     transition_matrix,
 )
 from spin_epsilon.classical import future_tables
+from spin_epsilon.ising import transition_arrays
 from spin_epsilon.distribution import symbol_string
 from spin_epsilon.verify import _draw
 
@@ -324,6 +328,57 @@ def test_integer_arguments_follow_one_rule(call, value, message):
         return
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+def _stack(*temperatures):
+    """The (J, B) = (1, 0.3) transition matrices at ``temperatures``, stacked."""
+    n = len(temperatures)
+    return TransitionMatrix(*transition_arrays(np.ones(n), np.full(n, 0.3), np.array(temperatures)))
+
+
+_TM1, _TM2 = _stack(2.0), _stack(2.0, 0.3)
+_MODEL1, _MODEL2 = build_quantum_model(_TM1), build_quantum_model(_TM2)
+_SU1, _SU2 = build_step_unitaries(_MODEL1), build_step_unitaries(_MODEL2)
+
+# Two stacked arguments must stack the same draws, and the samplers take one
+# model.  Before these checks, the fidelity check judged one draw of two and
+# passed (the second, fidelity 0.93 against overlap 0.89, went unjudged), and
+# the other sites leaked numpy's reshape, broadcast, truth-value or TypeError
+# messages, or accepted the argument.
+STACK_CASES = [
+    ("fidelity_saturation_check.2-1", lambda: fidelity_saturation_check(_TM2, _MODEL1),
+     "tm and model must stack the same draws, got t of shape (2, 2, 2) and amp of shape (1, 2, 2)"),
+    ("fidelity_saturation_check.1-2", lambda: fidelity_saturation_check(_TM1, _MODEL2),
+     "tm and model must stack the same draws, got t of shape (1, 2, 2) and amp of shape (2, 2, 2)"),
+    ("assert_synchronization.2-1", lambda: assert_synchronization(_SU2, _MODEL1, 3),
+     "su and model must stack the same draws, got v of shape (2, 2, 2) and amp of shape (1, 2, 2)"),
+    ("assert_synchronization.1-2", lambda: assert_synchronization(_SU1, _MODEL2, 3),
+     "su and model must stack the same draws, got v of shape (1, 2, 2) and amp of shape (2, 2, 2)"),
+    ("StepUnitaries", lambda: StepUnitaries(np.eye(2), np.ones((3, 2, 2)), 0.0, 0.0),
+     "expected v and u of shape (..., 2, 2) and angles of shape (...), "
+     "got v (2, 2), u (3, 2, 2) and angles ((), ())"),
+    ("EpsilonMachine", lambda: EpsilonMachine(_TM2).run(5),
+     "EpsilonMachine takes one model, got t of shape (2, 2, 2)"),
+    ("sample_quantum_trajectory", lambda: sample_quantum_trajectory(_SU2, 0, 5, 0),
+     "sample_quantum_trajectory takes one model, got v of shape (2, 2, 2)"),
+    # The spin condition follows the integer rule: True and 1.0 are not +1.
+    ("conditional_from_ring.True", lambda: conditional_from_ring(_RING, True, 2),
+     "condition must be +1 or -1, got True"),
+    ("conditional_from_ring.1.0", lambda: conditional_from_ring(_RING, 1.0, 2),
+     "condition must be +1 or -1, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(c, m, id=i) for i, c, m in STACK_CASES])
+def test_stacks_and_single_model_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_condition_is_a_spin():
+    for condition in (1, -1):
+        expected = conditional_from_ring(_RING, condition, 2).probs.tobytes()
+        assert conditional_from_ring(_RING, np.int64(condition), 2).probs.tobytes() == expected
 
 
 def reference_future_tables(tm, start, length):
