@@ -62,23 +62,17 @@ class StepUnitaries:
     """The two rotations driving one circuit step.
 
     ``v`` maps |0> to the first memory state, ``u`` maps the first memory
-    state to the second; ``theta0``/``theta1`` are the state angles with
-    |s_i> = (cos theta_i, sin theta_i).  Leading axes stack independent
-    draws: ``v`` and ``u`` are ``(..., 2, 2)``, the angles ``(...)`` arrays.
+    state to the second.  Leading axes stack independent draws: ``v`` and
+    ``u`` are ``(..., 2, 2)`` arrays of one shape.
     """
 
     v: np.ndarray
     u: np.ndarray
-    theta0: float | np.ndarray
-    theta1: float | np.ndarray
 
     def __post_init__(self):
-        lead, angles = self.v.shape[:-2], (np.shape(self.theta0), np.shape(self.theta1))
-        if self.v.shape[-2:] != (2, 2) or self.u.shape != self.v.shape or angles != (lead, lead):
-            raise ValueError(
-                "expected v and u of shape (..., 2, 2) and angles of shape (...), got "
-                f"v {self.v.shape}, u {self.u.shape} and angles {angles}"
-            )
+        if self.v.shape[-2:] != (2, 2) or self.u.shape != self.v.shape:
+            raise ValueError(f"expected v and u of shape (..., 2, 2), got v {self.v.shape} "
+                             f"and u {self.u.shape}")
 
     def causal_state(self, index: int) -> np.ndarray:
         """Memory state vector |s_index>, shape ``(..., 2)``."""
@@ -88,27 +82,26 @@ class StepUnitaries:
 
 
 def _rotations(x0: float, y0: float, x1: float, y1: float) -> tuple[float, ...]:
-    """theta0, theta1, then v and u row-major: rotations by theta0 and theta1 - theta0."""
+    """v and u row-major: rotations by the state angles theta0 and theta1 - theta0."""
     theta0, theta1 = math.atan2(y0, x0), math.atan2(y1, x1)
     c0, s0 = math.cos(theta0), math.sin(theta0)
     c1, s1 = math.cos(theta1 - theta0), math.sin(theta1 - theta0)
-    return theta0, theta1, c0, -s0, s0, c0, c1, -s1, s1, c1
+    return c0, -s0, s0, c0, c1, -s1, s1, c1
 
 
 def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
-    """Planar rotations realizing the model's two memory states, stacked
-    like the model's leading axes (numpy float angles for a single model).
+    """Planar rotations realizing the model's two memory states
+    |s_i> = (cos theta_i, sin theta_i), stacked like the model's leading axes.
 
     Only the action of U on |s0> is ever used, so the rotation by
     (theta1 - theta0) is a sufficient completion.
     """
     batch = model.amp.shape[:-2]
     # math's functions per draw: np.arctan2 can differ from math.atan2 by an
-    # ulp, and the angles of stacked draws must equal those of single draws.
+    # ulp, and the rotations of stacked draws must equal those of single draws.
     table = np.array([_rotations(*draw) for draw in model.amp.reshape(-1, 4).tolist()])
-    theta0, theta1 = (table[:, i].reshape(batch)[()] for i in (0, 1))  # [()]: float if unstacked
-    v, u = table[:, 2:6].reshape(*batch, 2, 2), table[:, 6:].reshape(*batch, 2, 2)
-    return StepUnitaries(v=v, u=u, theta0=theta0, theta1=theta1)
+    v, u = (table[:, i : i + 4].reshape(*batch, 2, 2) for i in (0, 4))
+    return StepUnitaries(v=v, u=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +194,7 @@ def exact_output_distribution(
     one table per draw when ``su`` has leading axes."""
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
-    return FutureDistribution(length, (layer.weight**2).reshape(*np.shape(su.theta0), -1))
+    return FutureDistribution(length, (layer.weight**2).reshape(*su.v.shape[:-2], -1))
 
 
 @dataclass(frozen=True)

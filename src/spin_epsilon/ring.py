@@ -170,13 +170,18 @@ def conditional_from_ring(
     """Exact P(x_1 .. x_L | x_0 = condition) by marginalizing the ring table.
 
     ``condition`` is the spin value at site 0 (+1 or -1); ``length`` <= n_half
-    keeps the window clear of the periodic wrap.
+    keeps the window clear of the periodic wrap.  A condition whose weight
+    underflowed to 0 on this ring has no table: ``ValueError``.
     """
     check_integer(condition, -1, 1, "condition must be +1 or -1, got {value}")
     if condition == 0:
         raise ValueError("condition must be +1 or -1, got 0")
     block = _window(ens, length)[0 if condition == 1 else 1]
-    return FutureDistribution(length, block / block.sum())
+    total = block.sum()
+    if not total > 0:
+        raise ValueError(f"condition {condition:+d} has probability 0 on the n_half={ens.n_half} "
+                         f"ring of {ens.params}")
+    return FutureDistribution(length, block / total)
 
 
 def _aitken(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
@@ -231,6 +236,7 @@ def markov_gap(ens: RingEnsemble, length: int) -> float:
     cond_full = joint[occurs] / totals[occurs, None]
 
     pair = _colsum(joint.reshape(-1, 4)).reshape(2, 2)  # rows = x_0, cols = x_1
-    cond_pair = pair / pair.sum(axis=1, keepdims=True)
+    pair_totals = pair.sum(axis=1, keepdims=True)
+    cond_pair = np.divide(pair, pair_totals, out=np.zeros_like(pair), where=pair_totals > 0)
 
     return float(np.max(np.abs(cond_full - cond_pair[occurs & 1])))

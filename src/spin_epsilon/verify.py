@@ -103,7 +103,7 @@ def _budgets(level: str) -> tuple:
     return _BUDGETS[level]
 
 
-def check_oracle_convergence(level: str = "quick") -> CheckResult:
+def check_oracle_convergence(level: str) -> CheckResult:
     """Ring-enumeration tables must converge on the transfer-matrix route.
 
     One pass measures every ring; the first bound the numbers break is the
@@ -146,7 +146,7 @@ def check_oracle_convergence(level: str = "quick") -> CheckResult:
     return CheckResult("oracle-convergence", not failures, failures[0] if failures else detail)
 
 
-def check_fidelity_saturation(seed: int, draws: int, max_length: int = 12) -> CheckResult:
+def check_fidelity_saturation(seed: int, draws: int, max_length: int) -> CheckResult:
     """Overlap must equal the classical fidelity bound on every random draw."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -202,7 +202,7 @@ def check_circuit_agreement(
     )
 
 
-def check_entropy_monotonicity(grid_points: int = 50) -> CheckResult:
+def check_entropy_monotonicity(grid_points: int) -> CheckResult:
     """Mixture entropy must fall strictly with overlap; eigenroutes must agree.
 
     Reports the first failing cell in row-major (weight, overlap) order.

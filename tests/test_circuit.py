@@ -80,7 +80,8 @@ def test_unitaries_orthogonal_and_map_states():
 def test_rotation_angle_golden_symmetric_point():
     su = unitaries_for(1.0, 0.0, 1.0)
     t00 = 0.8807970779778823
-    assert abs(su.theta0 - math.atan2(math.sqrt(1 - t00), math.sqrt(t00))) < 1e-12
+    theta0 = np.arctan2(su.v[1, 0], su.v[0, 0])
+    assert abs(theta0 - math.atan2(math.sqrt(1 - t00), math.sqrt(t00))) < 1e-12
     np.testing.assert_allclose(
         su.causal_state(0), [math.sqrt(t00), math.sqrt(1 - t00)], atol=1e-12
     )
@@ -238,9 +239,7 @@ def test_normalization_guard_rejects_nan_and_names_the_first_failing_run():
     assert guard_message(np.array([*good, late, nan_row]), 7) == message + repr(math.fsum(late))
     assert guard_message(np.array([*good, nan_row]), 7) == message + "nan"
     # Through the public route, a NaN rotation raises instead of giving a table of NaN.
-    nan_step = circuit.StepUnitaries(
-        v=np.full((2, 2), np.nan), u=np.eye(2), theta0=0.0, theta1=0.0
-    )
+    nan_step = circuit.StepUnitaries(v=np.full((2, 2), np.nan), u=np.eye(2))
     message = "branch weights lost normalization at depth 1: sum of squares = nan"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         exact_output_distribution(nan_step, 0, 3)
@@ -423,19 +422,23 @@ def test_stacked_runs_bit_identical_to_per_draw_calls():
 
 def test_stacked_angles_are_math_atan2_where_numpy_differs():
     # np.arctan2 and math.atan2 disagree by an ulp on some memory states of
-    # these draws; the stacked unitaries keep each draw's math.atan2 angles,
-    # and every field equals the single-draw unitaries bit for bit.
+    # these draws; the stacked rotations are math.cos and math.sin of each
+    # draw's math.atan2 angles, and equal the single-draw rotations bit for bit.
     rng = np.random.default_rng(0)
     models = [build_quantum_model(transition_matrix(IsingParams(*point))) for point in _draw(rng, 200)]
     amp = np.stack([m.amp for m in models])
-    expected = np.array([[math.atan2(a[i, 1], a[i, 0]) for i in (0, 1)] for a in amp])
-    assert (np.arctan2(amp[..., 1], amp[..., 0]) != expected).any(axis=0).all()
+    angles = np.array([[math.atan2(a[i, 1], a[i, 0]) for i in (0, 1)] for a in amp])
+    assert (np.arctan2(amp[..., 1], amp[..., 0]) != angles).any(axis=0).all()
+
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return [[c, -s], [s, c]]
+
     su = build_step_unitaries(stacked(models))
-    assert su.theta0.tolist() == expected[:, 0].tolist()
-    assert su.theta1.tolist() == expected[:, 1].tolist()
+    assert su.v.tobytes() == np.array([rotation(t0) for t0, _ in angles.tolist()]).tobytes()
+    assert su.u.tobytes() == np.array([rotation(t1 - t0) for t0, t1 in angles.tolist()]).tobytes()
     singles = [build_step_unitaries(m) for m in models]
-    assert isinstance(singles[0].theta0, float)
-    for field in ("v", "u", "theta0", "theta1"):
+    for field in ("v", "u"):
         expected = np.stack([getattr(one, field) for one in singles])
         assert getattr(su, field).tobytes() == expected.tobytes()
 

@@ -354,9 +354,8 @@ STACK_CASES = [
      "su and model must stack the same draws, got v of shape (2, 2, 2) and amp of shape (1, 2, 2)"),
     ("assert_synchronization.1-2", lambda: assert_synchronization(_SU1, _MODEL2, 3),
      "su and model must stack the same draws, got v of shape (1, 2, 2) and amp of shape (2, 2, 2)"),
-    ("StepUnitaries", lambda: StepUnitaries(np.eye(2), np.ones((3, 2, 2)), 0.0, 0.0),
-     "expected v and u of shape (..., 2, 2) and angles of shape (...), "
-     "got v (2, 2), u (3, 2, 2) and angles ((), ())"),
+    ("StepUnitaries", lambda: StepUnitaries(np.eye(2), np.ones((3, 2, 2))),
+     "expected v and u of shape (..., 2, 2), got v (2, 2) and u (3, 2, 2)"),
     ("EpsilonMachine", lambda: EpsilonMachine(_TM2).run(5),
      "EpsilonMachine takes one model, got t of shape (2, 2, 2)"),
     ("sample_quantum_trajectory", lambda: sample_quantum_trajectory(_SU2, 0, 5, 0),

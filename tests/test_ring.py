@@ -148,6 +148,18 @@ def test_extrapolation_needs_three_ring_sizes():
             extrapolated_conditional(IsingParams(1.0, 0.3, 2.0), 1, 1, n_halves)
 
 
+def test_condition_of_probability_zero_is_named(ring_cache):
+    # At B = 5, T = 0.01 a down spin costs 1400 in log weight: x_0 = -1
+    # underflows to 0 on every ring, and its 0/0 table was all NaN.
+    ens = ring_cache(1.0, 5.0, 0.01, 5)
+    message = "condition -1 has probability 0 on the n_half={} ring of IsingParams(J=1.0, B=5.0, T=0.01)"
+    with pytest.raises(ValueError, match=re.escape(message.format(5))):
+        conditional_from_ring(ens, -1, 3)
+    with pytest.raises(ValueError, match=re.escape(message.format(8))):
+        extrapolated_conditional(IsingParams(1.0, 5.0, 0.01), -1, 3)
+    assert conditional_from_ring(ens, 1, 3).probs.tolist() == [1.0] + [0.0] * 7
+
+
 @pytest.mark.parametrize("n_half", [1, 2, 7, 10])
 def test_numpy_integer_ring_size_gives_the_same_table(n_half):
     params = IsingParams(-1.0, 0.5, 0.7)
@@ -250,9 +262,9 @@ def reference_markov_gap(ens, length):
     totals = joint.sum(axis=1)  # two terms: correctly rounded, as by fsum
     occurs = np.flatnonzero(totals > 0)
     cond_full = joint[occurs] / totals[occurs, None]
-    pair = fsum_middle(blocks.reshape(1, -1, 4))[0].reshape(2, 2).T
+    pair = fsum_middle(blocks.reshape(1, -1, 4))[0].reshape(2, 2).T[occurs & 1]
     cond_pair = pair / pair.sum(axis=1, keepdims=True)
-    return float(np.max(np.abs(cond_full - cond_pair[occurs & 1])))
+    return float(np.max(np.abs(cond_full - cond_pair)))
 
 
 @pytest.mark.parametrize(
@@ -280,14 +292,16 @@ def test_ring_reductions_match_fsum_reference(ring_cache, J, B, T):
 def test_markov_gap_skips_histories_that_cannot_occur(ring_cache):
     # At J = -3, T = 0.05 each pair of aligned neighbours costs 120 in log
     # weight: from L = 6 on some histories underflow to 0, and their 0/0 rows
-    # made the gap NaN.
-    ens = ring_cache(-3.0, 0.4, 0.05, 10)
-    for length in range(1, 10):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gap = markov_gap(ens, length)
-        reference = reference_markov_gap(ens, length)
-        assert math.isfinite(gap) and abs(gap - reference) <= 1e-12 * reference, length
+    # made the gap NaN.  At B = 5, T = 0.01 no spin is ever down, and the
+    # pair law's x_0 = -1 row of 0 was divided by its sum of 0.
+    for J, B, T, n_half in ((-3.0, 0.4, 0.05, 10), (1.0, 5.0, 0.01, 5)):
+        ens = ring_cache(J, B, T, n_half)
+        for length in range(1, n_half):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gap = markov_gap(ens, length)
+            reference = reference_markov_gap(ens, length)
+            assert math.isfinite(gap) and abs(gap - reference) <= 1e-12 * reference, (J, length)
 
 
 def test_ring_reductions_do_not_depend_on_blas_threads():

@@ -358,8 +358,8 @@ def _desynchronizing_u(su):
     # state by 1e-5 rad: the output tables and the post-measurement memories
     # (off by ~5e-11) both leave the encoding.  Works on one draw and on
     # stacked draws.
-    theta0, theta1 = np.asarray(su.theta0), np.asarray(su.theta1)
-    angle = theta1 - theta0 + 1e-5 * (theta0 > 0.9)
+    theta0 = np.arctan2(su.v[..., 1, 0], su.v[..., 0, 0])
+    angle = np.arctan2(su.u[..., 1, 0], su.u[..., 0, 0]) + 1e-5 * (theta0 > 0.9)
     c, s = np.cos(angle), np.sin(angle)
     u = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     return dataclasses.replace(su, u=u)
@@ -371,7 +371,7 @@ def _shifted_table(su, start, length):
     table = circuit.exact_output_distribution(su, start, length)
     shift = np.zeros(table.probs.shape)
     shift[..., 0], shift[..., 1] = 1e-9, -1e-9
-    shift *= (np.asarray(su.theta0) > 0.9)[..., None]
+    shift *= (np.arctan2(su.v[..., 1, 0], su.v[..., 0, 0]) > 0.9)[..., None]
     return FutureDistribution(length, table.probs + shift)
 
 
