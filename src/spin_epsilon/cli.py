@@ -44,6 +44,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 SIMULATE_CHUNK = 2**16  # simulate writes each chunk as drawn: memory flat in --steps
+START = {"+1": 0, "1": 0, "+": 0, "-1": 1, "-": 1}  # --start spelling -> symbol index
 
 
 class Option(NamedTuple):
@@ -65,7 +66,7 @@ OPTIONS = {
     "spacing": Option(str, "log", ("linear", "log")),
     "seed": Option(int, 0),
     "steps": Option(int, 1000),
-    "start": Option(str, "+1", help="starting symbol, +1 or -1"),
+    "start": Option(str, "+1", tuple(START), "starting symbol, +1 or -1"),
     "backend": Option(str, "classical", ("classical", "quantum")),
     "level": Option(str, "quick", VERIFY_LEVELS),
     "tol": Option(float, 1e-4),
@@ -121,14 +122,6 @@ def resolve_options(args: argparse.Namespace) -> None:
         setattr(args, name, value)
 
 
-def _parse_start(token: str) -> int:
-    if token in ("+1", "1", "+"):
-        return 0
-    if token in ("-1", "-"):
-        return 1
-    raise ValueError(f"start must be +1 or -1, got {token!r}")
-
-
 def _row_text(row) -> str:
     lines = [
         f"J = {row.J:g}, B = {row.B:g}, T = {row.T:g}",
@@ -171,7 +164,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     tm = transition_matrix(IsingParams(args.J, args.B, args.T))
-    start = _parse_start(args.start)
     steps = args.steps
     check_integer(steps, 0, None, "steps must be >= 0, got {value}")
     check_integer(args.seed, 0, None, "seed must be >= 0, got {value}")
@@ -180,14 +172,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     # Chunks share one Generator and carry the state: one call's stream.
     if args.backend == "classical":
-        machine = EpsilonMachine(tm)
-        sample = lambda state, n: sample_trajectory(machine, state, n, rng)[0]
+        sample, model = sample_trajectory, EpsilonMachine(tm)
     else:
-        su = build_step_unitaries(build_quantum_model(tm))
-        sample = lambda state, n: sample_quantum_trajectory(su, state, n, rng)[0]
-    state, separator = start, ""
+        sample, model = sample_quantum_trajectory, build_step_unitaries(build_quantum_model(tm))
+    state, separator = START[args.start], ""
     for done in range(0, steps, SIMULATE_CHUNK):
-        symbols = sample(state, min(SIMULATE_CHUNK, steps - done))
+        symbols = sample(model, state, min(SIMULATE_CHUNK, steps - done), rng)[0]
         sys.stdout.write(separator + symbols_to_line(symbols))
         state, separator = int(symbols[-1] < 0), " "
     sys.stdout.write("\n")
@@ -216,7 +206,6 @@ def cmd_tmax(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     level = args.level
-    check_integer(args.seed, 0, None, "seed must be >= 0, got {value}")
     results = run_verification(level, args.seed)
     for result in results:
         print(result)

@@ -194,6 +194,8 @@ def csv_rows(table, blank=None) -> str:
     array ``blank`` (the table's shape) is True are left empty.
     """
     table = np.asarray(table, dtype=float)
+    if table.ndim != 2:
+        raise ValueError(f"csv_rows needs a 2-D table, got shape {table.shape}")
     words = _render(table, blank).reshape(*table.shape, 5)
     if blank is not None:
         words[np.asarray(blank, dtype=bool)] = 0
@@ -205,10 +207,11 @@ def csv_rows(table, blank=None) -> str:
 def entropy_bits(weights) -> float:
     """Shannon entropy in bits with the 0*log(0) = 0 convention.
 
-    Tiny negative round-off in eigenvalue input is clipped to zero.
+    Tiny negative round-off in eigenvalue input is clipped to zero; a NaN
+    weight is kept, so the result is NaN.
     """
     w = np.clip(np.asarray(weights, dtype=float), 0.0, 1.0)
-    nz = w[w > 0.0]
+    nz = w[~(w <= 0.0)]
     return float(-np.sum(nz * np.log2(nz))) + 0.0  # avoid -0.0 for pure cases
 
 

@@ -10,7 +10,8 @@ the primary one:
 * circuit agreement -- exact circuit output distributions and memory
   synchronization against the unifilar tables;
 * entropy monotonicity -- closed-form mixture eigenvalues against a direct
-  eigensolve, and entropy strictly decreasing in overlap.
+  eigensolve, and entropy strictly decreasing in overlap, judged on
+  ``binary_entropy_bits`` of the smaller eigenvalue, as C_q is computed.
 
 Each check builds every reference once: one enumeration per ring size, one
 unifilar expansion per start, one stacked eigensolve over the entropy grid.
@@ -33,6 +34,7 @@ import numpy as np
 
 from .circuit import assert_synchronization, build_step_unitaries, exact_output_distribution
 from .classical import future_distribution
+from .distribution import binary_entropy_bits, check_integer
 from .ising import IsingParams, TransitionMatrix, transition_arrays, transition_matrix
 from .quantum import (QuantumModel, build_quantum_model, fidelity_saturation_check,
                       mixture_eigenvalues, stationary_density)
@@ -207,8 +209,7 @@ def check_entropy_monotonicity(grid_points: int) -> CheckResult:
 
     Reports the first failing cell in row-major (weight, overlap) order.
     """
-    weights = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
-    overlaps = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    weights = overlaps = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
     lo, hi = mixture_eigenvalues(weights[:, None], overlaps)
     # One model per cell: memory states |0> and (overlap, sqrt(1 - overlap**2)).
     w = weights[:, None].repeat(grid_points, axis=1)
@@ -216,7 +217,7 @@ def check_entropy_monotonicity(grid_points: int) -> CheckResult:
     amp[..., 0, 0], amp[..., 1, 0], amp[..., 1, 1] = 1.0, overlaps, np.sqrt(1.0 - overlaps**2)
     direct = np.linalg.eigvalsh(stationary_density(QuantumModel(amp, np.stack([w, 1 - w], -1))))
     eig_gaps = np.abs(np.sort(np.stack([lo, hi], axis=-1)) - direct).max(axis=-1)
-    entropy = -(lo * np.log2(np.maximum(lo, 1e-300)) + hi * np.log2(hi))
+    entropy = binary_entropy_bits(lo)
     rising = np.pad(~(np.diff(entropy, axis=1) < 0.0), ((0, 0), (1, 0)))
     bad = np.flatnonzero((eig_gaps > 1e-12) | rising)
     if bad.size:
@@ -238,6 +239,7 @@ def check_entropy_monotonicity(grid_points: int) -> CheckResult:
 def run_verification(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Run every check family at the budgets of ``level``: quick or full."""
     _, fidelity, circuit, grid_points = _budgets(level)
+    check_integer(seed, 0, None, "seed must be >= 0, got {value}")
     return [
         check_oracle_convergence(level),
         check_fidelity_saturation(seed, *fidelity),

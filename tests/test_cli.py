@@ -182,6 +182,38 @@ def test_simulate_forced_start_matches_first_row(capsys):
     assert symbols[0] in (-1, 1)
 
 
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
+def test_each_start_spelling_gives_its_canonical_stream(tmp_path, capsys, backend):
+    # The option table declares every spelling, so --help lists them, and a
+    # flag or a config value picks the stream of its canonical spelling.
+    code, out, _ = run_main(capsys, ["simulate", "--help"])
+    assert code == 0 and "--start {+1,1,+,-1,-}" in out
+    tm = transition_matrix(IsingParams(-1.0, 0.5, 0.3))
+    if backend == "classical":
+        streams = [sample_trajectory(EpsilonMachine(tm), s, 300, 4)[0] for s in (0, 1)]
+    else:
+        su = build_step_unitaries(build_quantum_model(tm))
+        streams = [sample_quantum_trajectory(su, s, 300, 4)[0] for s in (0, 1)]
+    lines = [symbols_to_line(symbols) + "\n" for symbols in streams]
+    assert lines[0] != lines[1]
+    argv = ["simulate", f"--backend={backend}", "--J=-1", "--B=0.5", "--T=0.3",
+            "--steps=300", "--seed=4"]
+    config = tmp_path / "start.cfg"
+    for spelling, start in (("+1", 0), ("1", 0), ("+", 0), ("-1", 1), ("-", 1)):
+        config.write_text(f"start = {spelling}\n")
+        for extra in ([f"--start={spelling}"], ["--config", str(config)]):
+            assert run_cli(capsys, *argv, *extra) == (0, lines[start], "")
+
+
+def test_config_start_outside_its_choices_names_the_key(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("start = 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {config}: config key 'start' must be one of "
+                   "('+1', '1', '+', '-1', '-'), got '2'\n")
+
+
 CHUNK = cli.SIMULATE_CHUNK
 
 

@@ -184,6 +184,14 @@ def test_quantum_never_beats_classical_memory():
         assert abs(c_q - entropy_bits(eigenvalues)) < 1e-12
 
 
+def test_entropy_bits_keeps_a_nan_weight():
+    # The 0*log(0) and round-off rules drop zero and clipped weights only.
+    assert math.isnan(entropy_bits([np.nan, 0.5]))
+    assert entropy_bits([0.5, 0.5]) == 1.0
+    assert math.copysign(1.0, entropy_bits([1.0, 0.0])) == 1.0
+    assert entropy_bits([-1e-17, 1.0]) == 0.0
+
+
 def test_saturation_check_trivial_cases():
     assert fidelity_saturation_check(
         transition_matrix(IsingParams(1.0, 0.0, math.inf)),

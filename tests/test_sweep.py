@@ -318,6 +318,13 @@ def test_format_floats_shapes():
     assert text == "1,\n10,2.0000000000000002e-05\n"
 
 
+@pytest.mark.parametrize("table", [[1.0, 2.0], 1.0, np.zeros((1, 2, 2))])
+def test_csv_rows_names_a_table_that_is_not_2d(table):
+    with pytest.raises(ValueError) as excinfo:
+        csv_rows(table)
+    assert str(excinfo.value) == f"csv_rows needs a 2-D table, got shape {np.shape(table)}"
+
+
 def test_blank_cells_skip_the_exact_route(monkeypatch):
     # A blank NaN ratio is cleared, never formatted: the exact scalar route
     # sees no NaN from a sweep whose low-T ratio plateau is blank, while an

@@ -6,6 +6,7 @@ import pytest
 import spin_epsilon.circuit as circuit
 import spin_epsilon.verify as verify
 from spin_epsilon import FutureDistribution, IsingParams, QuantumModel, mixture_eigenvalues
+from spin_epsilon.distribution import binary_entropy_bits
 from spin_epsilon.verify import (
     CheckResult,
     check_circuit_agreement,
@@ -51,6 +52,14 @@ def test_quick_verification_all_green():
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_verification("exhaustive", seed=0)
+
+
+def test_seed_takes_the_integer_rule():
+    # A bool, a float or a negative seed is named, not handed to numpy.
+    for seed in (True, 1.5, -1):
+        with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {seed}$"):
+            run_verification("quick", seed)
+    assert run_verification("quick", np.int64(3)) == run_verification("quick", 3)
 
 
 def test_corrupted_amplitudes_fail_saturation(monkeypatch):
@@ -200,7 +209,7 @@ def reference_entropy_monotonicity(grid_points):
                     False,
                     where + f"closed-form vs eigensolve gap {worst_eig:.3g}",
                 )
-            entropy = float(-(np.array([lo, hi]) * np.log2([max(lo, 1e-300), hi])).sum())
+            entropy = float(binary_entropy_bits(lo))
             if previous is not None and not entropy < previous:
                 return CheckResult(
                     "entropy-monotonicity",
