@@ -239,7 +239,7 @@ def assert_synchronization(
             live = (layer.memory != 0).any(axis=-1)  # not weight > 0: weights underflow
             deviation = np.where(live, np.abs(np.abs(overlap) - 1.0), 0.0)
             worst = np.maximum(worst, deviation.max(axis=1))
-            failing = deviation > SYNC_TOL
+            failing = ~(deviation <= SYNC_TOL)  # NaN fails
             # The first failing branch of each run that has one.
             for run in np.flatnonzero(failing.any(axis=1)).tolist():
                 if first[run] is None:

@@ -185,7 +185,7 @@ def fidelity_saturation_check(
     tables = zip(future_tables(tm, 0, max_length), future_tables(tm, 1, max_length))
     fidelities = np.stack([np.sum(np.sqrt(d0 * d1), axis=-1) for d0, d1 in tables], axis=-1)
     max_gap = np.abs(overlap - fidelities).max(axis=-1)
-    passed = (overlap <= fidelities + SATURATION_TOL).all(axis=-1) & (max_gap <= SATURATION_TOL)
+    passed = max_gap <= SATURATION_TOL  # NaN fails
     reports = [
         SaturationReport(overlap=o, fidelities=tuple(f), max_gap=g, passed=p)
         for o, f, g, p in zip(

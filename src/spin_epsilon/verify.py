@@ -184,7 +184,7 @@ def check_circuit_agreement(
             ],
             axis=-1,
         )
-        bad = np.flatnonzero(gaps > 1e-12)
+        bad = np.flatnonzero(~(gaps <= 1e-12))  # NaN fails
         if bad.size:
             i, start = divmod(int(bad[0]), 2)
             detail = f", start={start}: max entry gap {gaps[i, start]:.3g}"
@@ -219,11 +219,11 @@ def check_entropy_monotonicity(grid_points: int) -> CheckResult:
     eig_gaps = np.abs(np.sort(np.stack([lo, hi], axis=-1)) - direct).max(axis=-1)
     entropy = binary_entropy_bits(lo)
     rising = np.pad(~(np.diff(entropy, axis=1) < 0.0), ((0, 0), (1, 0)))
-    bad = np.flatnonzero((eig_gaps > 1e-12) | rising)
+    bad = np.flatnonzero(~(eig_gaps <= 1e-12) | rising)  # NaN fails
     if bad.size:
         i, j = divmod(int(bad[0]), grid_points)
         where = f"first counterexample at (weight={weights[i]}, overlap={overlaps[j]}): "
-        if eig_gaps[i, j] > 1e-12:
+        if not eig_gaps[i, j] <= 1e-12:
             reason = f"closed-form vs eigensolve gap {eig_gaps[i, j]:.3g}"
         else:
             row = entropy[i].tolist()

@@ -349,6 +349,13 @@ def test_synchronization_detects_wrong_encoding():
     assert report.first_failure == (1, "+")
 
 
+def test_synchronization_fails_on_nan_amplitudes():
+    model = build_quantum_model(transition_matrix(IsingParams(1.0, 0.3, 2.0)))
+    broken = QuantumModel(amp=np.full_like(model.amp, np.nan), weights=model.weights)
+    report = assert_synchronization(build_step_unitaries(model), broken, 3)
+    assert str(report) == "FAIL: memory desynchronized at depth 1 after '+' (deviation nan)"
+
+
 def test_sample_zero_steps():
     su = unitaries_for(1.0, 0.3, 2.0)
     symbols, memory = sample_quantum_trajectory(su, 0, 0, seed=3)

@@ -206,9 +206,11 @@ def test_trajectory_line_export():
     assert symbols_to_line(np.array([], dtype=np.int8)) == ""
     assert symbols_to_line([]) == ""
     assert symbols_to_line([-1]) == "-1"
-    # Anything not above zero renders as -1, as the per-symbol join did.
-    values = np.random.default_rng(3).integers(-2, 3, 1000)
-    for symbols in (values, values.astype(np.int8), values.astype(float), values.tolist()):
+    # Anything not above zero renders as -1, as the per-symbol join did; one
+    # simulate chunk of each input type.
+    values = np.random.default_rng(3).integers(-2, 3, 2**16)
+    for symbols in (values, values.astype(np.int8), values.astype(float), values.tolist(),
+                    values > 0):
         expected = " ".join("+1" if s > 0 else "-1" for s in symbols)
         assert symbols_to_line(symbols) == expected
 

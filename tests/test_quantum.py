@@ -251,6 +251,8 @@ def test_saturation_check_catches_sign_flip():
     report = fidelity_saturation_check(tm, corrupted)
     assert not report.passed
     assert "FAIL" in str(report)
+    nan = QuantumModel(amp=np.full_like(good.amp, np.nan), weights=good.weights)
+    assert str(fidelity_saturation_check(tm, nan, 3)).startswith("FAIL: overlap=nan")
 
 
 def test_mixture_entropy_decreases_with_overlap():

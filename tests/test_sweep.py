@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,6 +324,34 @@ def test_csv_rows_names_a_table_that_is_not_2d(table):
     with pytest.raises(ValueError) as excinfo:
         csv_rows(table)
     assert str(excinfo.value) == f"csv_rows needs a 2-D table, got shape {np.shape(table)}"
+
+
+@pytest.mark.parametrize("table, blank, message", [
+    (np.empty((3, 0)), None, "csv_rows needs at least one column, got shape (3, 0)"),
+    (np.ones((2, 2)), np.zeros(3, bool),
+     "csv_rows needs a blank mask of the table's shape (2, 2), got shape (3,)"),
+], ids=["no-columns", "blank-shape"])
+def test_csv_rows_names_a_table_without_columns_and_a_blank_of_another_shape(
+    table, blank, message
+):
+    with pytest.raises(ValueError) as excinfo:
+        csv_rows(table, blank)
+    assert str(excinfo.value) == message
+
+
+def test_csv_rows_frees_its_temporaries_stage_by_stage():
+    # A CHUNK-row call's traced peak: the words, their bytes and the text,
+    # with few whole-chunk temporaries on top.
+    table = sweep_table(1.0, 0.3, temperature_grid(0.05, 100.0, CHUNK, "log"))
+    blank = np.isnan(table)
+    csv_rows(table, blank)  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        csv_rows(table, blank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_blank_cells_skip_the_exact_route(monkeypatch):

@@ -81,6 +81,25 @@ def test_component_checks_report_details():
     assert str(sat).startswith("PASS fidelity-saturation")
 
 
+def test_circuit_agreement_fails_on_nan_tables(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: a NaN gap never shows in the worst gap.
+    def nan_table(su, start, length):
+        probs = circuit.exact_output_distribution(su, start, length).probs
+        return FutureDistribution(length, np.full_like(probs, np.nan))
+
+    monkeypatch.setattr(verify, "exact_output_distribution", nan_table)
+    result = check_circuit_agreement(seed=3, draws=5, length=5, sync_draws=5, sync_depth=3)
+    assert not result.passed
+    assert result.detail.endswith(", start=0: max entry gap nan")
+
+
+def test_entropy_monotonicity_fails_on_nan_eigenvalues(monkeypatch):
+    monkeypatch.setattr(verify, "stationary_density", lambda m: np.full(m.amp.shape, np.nan))
+    result = check_entropy_monotonicity(grid_points=4)
+    assert not result.passed
+    assert result.detail.endswith("closed-form vs eigensolve gap nan")
+
+
 def test_full_oracle_convergence_enumerates_each_ring_once(monkeypatch):
     # Two points x four ring sizes; the table errors and the Markov gaps of a
     # ring read the same enumeration.
@@ -201,15 +220,16 @@ def reference_entropy_monotonicity(grid_points):
                 states[1], states[1]
             )
             direct = np.linalg.eigvalsh(rho)
-            worst_eig = max(worst_eig, float(np.max(np.abs(np.sort([lo, hi]) - direct))))
+            gap = float(np.max(np.abs(np.sort([lo, hi]) - direct)))
+            worst_eig = max(worst_eig, gap)
             where = f"first counterexample at (weight={w}, overlap={f}): "
-            if worst_eig > 1e-12:
+            if not gap <= 1e-12:
                 return CheckResult(
                     "entropy-monotonicity",
                     False,
-                    where + f"closed-form vs eigensolve gap {worst_eig:.3g}",
+                    where + f"closed-form vs eigensolve gap {gap:.3g}",
                 )
-            entropy = float(binary_entropy_bits(lo))
+            entropy = float(verify.binary_entropy_bits(lo))
             if previous is not None and not entropy < previous:
                 return CheckResult(
                     "entropy-monotonicity",
@@ -232,19 +252,28 @@ def _raised_above_half(w, f):
 
 
 def _nan_in_upper_corner(w, f):
-    # NaN passes the eigenvalue-gap test (nan > tol is False) and then fails
-    # the strict-decrease test, so this reaches the monotonicity message.
+    # A NaN eigenvalue fails the eigenvalue-gap test: only gap <= tol passes.
     corner = (np.asarray(w) > 0.5) & (np.asarray(f) > 0.3)
     return tuple(np.where(corner, np.nan, x) for x in mixture_eigenvalues(w, f))
 
 
+def _flat_entropy_above_half(x):
+    # Exact eigenvalues whose entropy stalls at 1/2: this reaches the
+    # monotonicity message.
+    return np.minimum(binary_entropy_bits(x), 0.5)
+
+
 @pytest.mark.parametrize("grid_points", [10, 20, 50])
-@pytest.mark.parametrize("eigenvalues", [None, _raised_above_half, _nan_in_upper_corner])
-def test_entropy_monotonicity_matches_cell_by_cell_loop(monkeypatch, grid_points, eigenvalues):
+@pytest.mark.parametrize(
+    "fault", [None, _raised_above_half, _nan_in_upper_corner, _flat_entropy_above_half]
+)
+def test_entropy_monotonicity_matches_cell_by_cell_loop(monkeypatch, grid_points, fault):
     # The stacked eigensolve reports exactly what the per-cell loop reports:
     # the same numbers on a pass, the same first failing cell and message.
-    if eigenvalues is not None:
-        monkeypatch.setattr(verify, "mixture_eigenvalues", eigenvalues)
+    if fault is _flat_entropy_above_half:
+        monkeypatch.setattr(verify, "binary_entropy_bits", fault)
+    elif fault is not None:
+        monkeypatch.setattr(verify, "mixture_eigenvalues", fault)
     assert check_entropy_monotonicity(grid_points) == reference_entropy_monotonicity(
         grid_points
     )
@@ -293,7 +322,7 @@ def reference_circuit_agreement(seed, draws, length, sync_draws, sync_depth):
                 )
             )
             worst = max(worst, delta)
-            if delta > 1e-12:
+            if not delta <= 1e-12:
                 return CheckResult(
                     "circuit-agreement",
                     False,
