@@ -100,6 +100,7 @@ def build_step_unitaries(model: QuantumModel) -> StepUnitaries:
     # math's functions per draw: np.arctan2 can differ from math.atan2 by an
     # ulp, and the rotations of stacked draws must equal those of single draws.
     table = np.array([_rotations(*draw) for draw in model.amp.reshape(-1, 4).tolist()])
+    table = table.reshape(-1, 8)  # (0, 8) for an empty stack
     v, u = (table[:, i : i + 4].reshape(*batch, 2, 2) for i in (0, 4))
     return StepUnitaries(v=v, u=u)
 
@@ -149,8 +150,8 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
         joint = _double(layer.memory, pair)  # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j]
         squares = joint * joint
         root = np.sqrt(squares[..., 0] + squares[..., 1])
-        weight = (layer.weight[..., None] * root).reshape(runs, -1)
-        root, joint = root.reshape(runs, -1), joint.reshape(runs, -1, 2)
+        weight = (layer.weight[..., None] * root).reshape(runs, 2**depth)
+        root, joint = root.reshape(runs, 2**depth), joint.reshape(runs, 2**depth, 2)
         memory = squares.reshape(joint.shape)  # squares' buffer, no longer read: no fresh array
         memory.fill(0.0)  # dead branches keep memory 0
         for j in (0, 1):
@@ -174,7 +175,7 @@ def _check_normalization(squares: np.ndarray, depth: int) -> None:
     """
     runs, width = squares.shape
     block = min(width, _BLOCK)
-    sums = squares.reshape(runs, -1, block).sum(axis=2).sum(axis=1)
+    sums = squares.reshape(runs, width // block, block).sum(axis=2).sum(axis=1)
     slack = (block + width // block) * 2.0**-52 * sums
     # fsum reads a memoryview as Python floats, twice as fast as an array.
     rows = memoryview(squares.ravel())
@@ -194,7 +195,7 @@ def exact_output_distribution(
     one table per draw when ``su`` has leading axes."""
     for layer in branch_layers(su, start, length):
         pass  # only the deepest layer carries the full records
-    return FutureDistribution(length, (layer.weight**2).reshape(*su.v.shape[:-2], -1))
+    return FutureDistribution(length, (layer.weight**2).reshape(*su.v.shape[:-2], 2**length))
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,8 @@ def assert_synchronization(
     for start in (0, 1):
         for depth, layer in enumerate(branch_layers(su, start, length), start=1):
             # Record h ends in symbol h & 1: pair each memory with amp[r, h & 1].
-            memory = layer.memory.reshape(len(amp), -1, 2, 2)
-            overlap = np.sum(memory * amp[:, None], axis=-1).reshape(len(amp), -1)
+            memory = layer.memory.reshape(len(amp), 2 ** (depth - 1), 2, 2)
+            overlap = np.sum(memory * amp[:, None], axis=-1).reshape(len(amp), 2**depth)
             live = (layer.memory != 0).any(axis=-1)  # not weight > 0: weights underflow
             deviation = np.where(live, np.abs(np.abs(overlap) - 1.0), 0.0)
             worst = np.maximum(worst, deviation.max(axis=1))

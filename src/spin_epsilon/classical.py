@@ -61,8 +61,7 @@ def statistical_complexity(tm: TransitionMatrix) -> float | np.ndarray:
 
     It is 0 where the causal states merge (see :func:`merged_rows`).
     """
-    # A finite entropy >= +0.0 times False is np.where's +0.0, at a third of its cost.
-    c_mu = binary_entropy_bits(tm.p.min(axis=-1)) * ~merged_rows(tm.t)
+    c_mu = np.where(merged_rows(tm.t), 0.0, binary_entropy_bits(tm.p.min(axis=-1)))
     return float(c_mu) if c_mu.ndim == 0 else c_mu
 
 
@@ -81,9 +80,9 @@ def future_tables(tm: TransitionMatrix, start: int, length: int) -> Iterator[np.
     lead = t.shape[:-2]
     probs = t[..., start, :].copy()
     yield probs
-    for _ in range(length - 1):
+    for depth in range(2, length + 1):
         # Entry 2h + k ends in symbol k, so it continues with row t[k].
-        probs = _double(probs.reshape(*lead, -1, 2), t).reshape(*lead, -1)
+        probs = _double(probs.reshape(*lead, 2 ** (depth - 2), 2), t).reshape(*lead, 2**depth)
         yield probs
 
 

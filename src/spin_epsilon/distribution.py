@@ -142,8 +142,8 @@ def _decade(hi, lo):
 
 
 def _exact(x) -> np.ndarray:
-    """``'%.17g' % x`` of every value, one call each, as rows of six words."""
-    texts = ["%.17g" % v for v in x.tolist()]
+    """``format_float`` of every value, one call each, as rows of six words."""
+    texts = [format_float(v) for v in x.tolist()]
     return np.array(texts, "S48").view("<u8").reshape(-1, 6)
 
 
@@ -188,7 +188,7 @@ def _layout(out, d, i, tab):
 
 
 def _render(table, blank) -> np.ndarray:
-    """The CSV text of a 2-D ``table``, six words (see above) a cell: ``'%.17g' % x``
+    """The CSV text of a 2-D ``table``, six words (see above) a cell: ``format_float(x)``
     and a separator.  Cells at the flat indices ``blank`` are left empty, unformatted."""
     x = table.reshape(-1)
     tab = _tables()
@@ -274,6 +274,7 @@ class FutureDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        check_integer(self.length, 0, None, "length must be >= 0, got {value}")
         if self.probs.shape[-1:] != (2**self.length,):
             raise ValueError(
                 f"expected {2**self.length} entries for length {self.length}, "

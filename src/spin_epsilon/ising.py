@@ -104,7 +104,7 @@ class TransitionMatrix:
 
 def transition_matrix(params: IsingParams) -> TransitionMatrix:
     """Conditional spin probabilities and stationary weights from (J, B, T)."""
-    return TransitionMatrix(*_solve(params.J, params.B, params.T))  # validated already
+    return TransitionMatrix(*transition_arrays(params.J, params.B, params.T))
 
 
 def transition_arrays(J, B, T) -> tuple[np.ndarray, np.ndarray]:
@@ -119,11 +119,6 @@ def transition_arrays(J, B, T) -> tuple[np.ndarray, np.ndarray]:
     # [()] turns a 0-d array into a numpy scalar, which is cheaper to compute with.
     J, B, T = (np.asarray(x, dtype=float)[()] for x in (J, B, T))
     _validate(J, B, T)
-    return _solve(J, B, T)
-
-
-def _solve(J, B, T) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`transition_arrays` for valid inputs."""
     beta = 1.0 / T  # exactly 0.0 for the T = inf flag
     e00 = beta * (J + B)
     e11 = beta * (J - B)

@@ -206,7 +206,7 @@ def extrapolated_conditional(
     delta-squared limit of three successive ring sizes removes it.  The
     extrapolated table is renormalized.
     """
-    if len(n_halves) != 3:
+    if np.ndim(n_halves) != 1 or len(n_halves) != 3:
         raise ValueError(f"n_halves must be three ring sizes, got {n_halves!r}")
     tables = [
         conditional_from_ring(enumerate_ring(params, n), condition, length).probs

@@ -42,10 +42,10 @@ from .ring import _window, enumerate_ring, markov_gap
 
 __all__ = ["CheckResult", "run_verification", "VERIFY_LEVELS"]
 
-# Per level: oracle ring sizes (n_half), fidelity (draws, max_length), circuit
-# (draws, length, sync_draws, sync_depth) and entropy grid points.
-_BUDGETS = {"quick": ((3, 4, 5, 6), (50, 8), (50, 6, 50, 4), 20),
-            "full": ((4, 6, 8, 10), (500, 12), (100, 10, 200, 6), 50)}
+# Per level: oracle (ring sizes n_half, tight bounds), fidelity (draws,
+# max_length), circuit (draws, length, sync_draws, sync_depth) and entropy grid points.
+_BUDGETS = {"quick": (((3, 4, 5, 6), False), (50, 8), (50, 6, 50, 4), 20),
+            "full": (((4, 6, 8, 10), True), (500, 12), (100, 10, 200, 6), 50)}
 VERIFY_LEVELS = tuple(_BUDGETS)
 
 # Parameter box for random draws, as (J, B, log T) bounds: couplings and
@@ -98,21 +98,14 @@ def _counterexample(name: str, point: list, detail: str) -> CheckResult:
     return CheckResult(name, False, f"first counterexample at (J={J}, B={B}, T={T}){detail}")
 
 
-def _budgets(level: str) -> tuple:
-    """The budgets of a level; an unknown level is a ``ValueError``."""
-    if level not in VERIFY_LEVELS:
-        raise ValueError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
-    return _BUDGETS[level]
-
-
-def check_oracle_convergence(level: str) -> CheckResult:
+def check_oracle_convergence(n_halves: tuple[int, ...], tight: bool) -> CheckResult:
     """Ring-enumeration tables must converge on the transfer-matrix route.
 
-    One pass measures every ring; the first bound the numbers break is the
-    report.  The tight bounds apply at ``full`` only: quick rings are too
-    short for a length-3 Markov gap.
+    One pass measures every ring of ``n_halves``; the first bound the numbers
+    break is the report.  The ``tight`` bounds (table error and Markov gap)
+    suit the full level only: quick rings are too short for a length-3 Markov gap.
     """
-    n_halves, length, full = _budgets(level)[0], 3, level == "full"
+    length = 3
     points = {"short-corr": _SHORT_CORR, "long-corr": _LONG_CORR}
     errors, gaps = {label: [] for label in points}, []
     for label, point in points.items():
@@ -124,7 +117,7 @@ def check_oracle_convergence(level: str) -> CheckResult:
             window = _window(ens, length)  # rows: conditions +1, -1
             error = np.max(np.abs(window / window.sum(axis=1, keepdims=True) - exact))
             errors[label].append(float(error))
-            if full and label == "short-corr":
+            if tight and label == "short-corr":
                 gaps.append(markov_gap(ens, length))
 
     not_decreasing = lambda values: not all(b < a for a, b in zip(values, values[1:]))
@@ -134,7 +127,7 @@ def check_oracle_convergence(level: str) -> CheckResult:
         for label, (J, B, T) in points.items()
     ]
     series = [(f"{label} table errors", values) for label, values in errors.items()]
-    if full:
+    if tight:
         final, last = errors["short-corr"][-1], n_halves[-1]
         bounds += [
             (final >= 1e-6, f"short-corr table error at n_half={last} is {final:.3g}, "
@@ -238,10 +231,12 @@ def check_entropy_monotonicity(grid_points: int) -> CheckResult:
 
 def run_verification(level: str = "quick", seed: int = 0) -> list[CheckResult]:
     """Run every check family at the budgets of ``level``: quick or full."""
-    _, fidelity, circuit, grid_points = _budgets(level)
+    if level not in VERIFY_LEVELS:
+        raise ValueError(f"level must be one of {VERIFY_LEVELS}, got {level!r}")
+    oracle, fidelity, circuit, grid_points = _BUDGETS[level]
     check_integer(seed, 0, None, "seed must be >= 0, got {value}")
     return [
-        check_oracle_convergence(level),
+        check_oracle_convergence(*oracle),
         check_fidelity_saturation(seed, *fidelity),
         check_circuit_agreement(seed, *circuit),
         check_entropy_monotonicity(grid_points),

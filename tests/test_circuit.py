@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from spin_epsilon import (
     IsingParams,
     QuantumModel,
+    TransitionMatrix,
     assert_synchronization,
     branch_layers,
     build_quantum_model,
     build_step_unitaries,
+    classical_fidelity,
     exact_output_distribution,
+    fidelity_saturation_check,
     future_distribution,
     sample_quantum_trajectory,
     transition_matrix,
 )
 from spin_epsilon import circuit
 from spin_epsilon.circuit import MAX_DEPTH, BranchLayer, SyncReport
+from spin_epsilon.ising import transition_arrays
 from spin_epsilon.verify import _draw
 
 
@@ -425,6 +429,31 @@ def test_stacked_runs_bit_identical_to_per_draw_calls():
         reports = assert_synchronization(su, stacked(model_set), 4)
         assert reports == [assert_synchronization(s, m, 4) for s, m in zip(sus, model_set)]
     assert not all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda tm, model: future_distribution(tm, 0, 3).probs.shape, (0, 8)),
+        (lambda tm, model: classical_fidelity(tm, 3).shape, (0,)),
+        (lambda tm, model: fidelity_saturation_check(tm, model, 3), []),
+        (lambda tm, model: build_step_unitaries(model).u.shape, (0, 2, 2)),
+        (lambda tm, model: [layer.memory.shape for layer in
+                            branch_layers(build_step_unitaries(model), 0, 3)],
+         [(0, 2, 2), (0, 4, 2), (0, 8, 2)]),
+        (lambda tm, model: exact_output_distribution(build_step_unitaries(model), 1, 3)
+         .probs.shape, (0, 8)),
+        (lambda tm, model: assert_synchronization(build_step_unitaries(model), model, 3), []),
+    ],
+    ids=["future_distribution", "classical_fidelity", "fidelity_saturation_check",
+         "build_step_unitaries", "branch_layers", "exact_output_distribution",
+         "assert_synchronization"],
+)
+def test_a_stack_of_zero_draws_is_a_valid_stack(call, expected):
+    # Zero draws give empty tables, rotations and report lists, not numpy errors.
+    empty = np.empty(0)
+    tm = TransitionMatrix(*transition_arrays(empty, empty, empty))
+    assert call(tm, build_quantum_model(tm)) == expected
 
 
 def test_stacked_angles_are_math_atan2_where_numpy_differs():

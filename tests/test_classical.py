@@ -419,6 +419,10 @@ def test_stacked_shapes_are_checked():
         TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full(2, 0.5))
     with pytest.raises(ValueError, match=r"^expected 8 entries for length 3, got shape \(7,\)$"):
         FutureDistribution(3, np.zeros(7))
+    # (2,) == (2.0,), so only the integer rule stops a bool or float length.
+    for length, entries in ((True, 2), (1.0, 2), (np.float64(2), 4), (-1, 1)):
+        with pytest.raises(ValueError, match=rf"^length must be >= 0, got {length}$"):
+            FutureDistribution(length, np.ones(entries))
     table = future_distribution(
         TransitionMatrix(t=np.full((3, 2, 2), 0.5), p=np.full((3, 2), 0.5)), 0, 3
     )

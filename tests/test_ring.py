@@ -142,7 +142,7 @@ def test_window_guards():
 
 
 def test_extrapolation_needs_three_ring_sizes():
-    for n_halves in ((1, 2), (1, 2, 3, 4)):
+    for n_halves in ((1, 2), (1, 2, 3, 4), 5, "abc"):
         message = re.escape(f"n_halves must be three ring sizes, got {n_halves!r}")
         with pytest.raises(ValueError, match=message):
             extrapolated_conditional(IsingParams(1.0, 0.3, 2.0), 1, 1, n_halves)

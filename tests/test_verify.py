@@ -50,7 +50,7 @@ def test_quick_verification_all_green():
 
 
 def test_unknown_level_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"level must be one of \('quick', 'full'\)"):
         run_verification("exhaustive", seed=0)
 
 
@@ -111,7 +111,7 @@ def test_full_oracle_convergence_enumerates_each_ring_once(monkeypatch):
         return enumerate_ring(params, n_half)
 
     monkeypatch.setattr(verify, "enumerate_ring", counted)
-    assert check_oracle_convergence("full").passed
+    assert check_oracle_convergence(*verify._BUDGETS["full"][0]).passed
     assert len(calls) == 8 == len(set(calls))
 
 
@@ -198,12 +198,8 @@ def test_oracle_convergence_reports_the_first_broken_bound(
         template, point = expected
         n_halves = (3, 4, 5, 6) if level == "quick" else (4, 6, 8, 10)
         expected = template.format(n_halves, [_flat_error(point)] * len(n_halves))
-    assert check_oracle_convergence(level) == CheckResult("oracle-convergence", False, expected)
-
-
-def test_oracle_convergence_rejects_unknown_level():
-    with pytest.raises(ValueError, match=r"level must be one of \('quick', 'full'\)"):
-        check_oracle_convergence("exhaustive")
+    result = check_oracle_convergence(*verify._BUDGETS[level][0])
+    assert result == CheckResult("oracle-convergence", False, expected)
 
 
 def reference_entropy_monotonicity(grid_points):
