@@ -11,8 +11,8 @@ end.
 The enumeration walks every measurement branch with exact amplitudes, one
 ``(run, 2**depth)`` grid per depth indexed by the emitted record, like the
 unifilar future tables: branch h's children are records 2h and 2h + 1, so
-each layer is one reshape of the last, and the full depth ``MAX_DEPTH`` = 20
-is one 2**20 table per run.  Unitaries with leading axes stack independent
+each layer is one reshape of the last, and the deepest (``MAX_TABLE_LENGTH``
+= 20) is one 2**20 table per run.  Unitaries with leading axes stack independent
 draws; one walk then covers every draw's run from one start, one draw per
 grid row, and the enumeration results come back per draw.  The memory is
 always the collapsed ancilla amplitude, renormalized, never set to the
@@ -50,8 +50,7 @@ __all__ = [
     "sample_quantum_trajectory",
 ]
 
-MAX_DEPTH = MAX_TABLE_LENGTH  # a depth-L layer is one 2**L record table per run
-_BLOCK = 1024  # first-level block of the normalization sums: slack <= 4.6e-13 at MAX_DEPTH
+_BLOCK = 1024  # first-level block of the normalization sums: slack <= 4.6e-13 at depth 20
 SYNC_TOL = 1e-12  # largest | |<memory|s_j>| - 1 | assert_synchronization passes
 
 _KET0 = np.array([1.0, 0.0])
@@ -141,11 +140,12 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     sum to one at every depth: a run whose ``math.fsum`` total is not within
     1e-12 of one raises ``RuntimeError`` (see ``_check_normalization``).
     """
-    check_integer(length, 1, MAX_DEPTH, "length must be in [1, {hi}], got {value}")
+    check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
+    check_integer(length, 1, MAX_TABLE_LENGTH, "length must be in [1, {hi}], got {value}")
     # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
     pair = np.stack([su.causal_state(0), su.causal_state(1)], axis=-2).reshape(-1, 2, 2)
     runs = len(pair)
-    layer = BranchLayer(np.ones((runs, 1)), su.causal_state(start).reshape(runs, 1, 2))
+    layer = BranchLayer(np.ones((runs, 1)), pair[:, start, None])  # the start's memory state
     for depth in range(1, length + 1):
         joint = _double(layer.memory, pair)  # joint[r, h, k, j] = memory[r, h, k] * pair[r, k, j]
         squares = joint * joint

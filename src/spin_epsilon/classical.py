@@ -9,8 +9,8 @@ transition-matrix entries.
 Both samplers, this machine's and the quantum circuit's, draw a whole run of
 states with one prefix scan, :func:`scan_states`, each from its own thresholds.
 
-The table/entropy/fidelity operations are stateless and thread-safe; an
-:class:`EpsilonMachine` instance owns its RNG and is single-owner.
+The table/entropy/fidelity operations are pure functions of their arguments;
+an :class:`EpsilonMachine` instance owns its RNG and its current state.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class EpsilonMachine:
     """Stateful simulator for the two-state unifilar machine.
 
     Holds the transition matrix, the current causal state and an owned RNG;
-    use one instance per worker.  Entropies are reported in bits throughout.
+    each :meth:`run` continues from the state the last one ended in.
     """
 
     def __init__(self, tm: TransitionMatrix, state: int = 0, seed: int | None = None):

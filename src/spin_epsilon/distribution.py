@@ -1,6 +1,6 @@
 """The base module: the symbol convention, exact probability tables over
-length-L strings of +1/-1 symbols, the text renderers (floats, CSV rows,
-symbol lines) and the one rule for integer arguments (:func:`check_integer`).
+length-L strings of +1/-1 symbols, the text renderers (floats, CSV rows, symbol
+lines) and the argument rules (:func:`check_integer`, :func:`check_real`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ def check_integer(value, lo: int, hi: int | None, message: str) -> None:
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and lo <= value and (hi is None or value <= hi)):
         raise ValueError(message.format(hi=hi, value=value))
+
+
+def check_real(value, name: str) -> None:
+    """Pass a Python or numpy integer or float, not a bool, nor an array (a 0-d one
+    included, as in :func:`check_integer`); else raise a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def format_float(x: float) -> str:

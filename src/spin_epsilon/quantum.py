@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import future_tables, merged_rows
-from .distribution import binary_entropy_bits
+from .distribution import binary_entropy_bits, check_real
 from .ising import TransitionMatrix, transition_arrays
 
 __all__ = [
@@ -66,11 +66,8 @@ class QuantumModel:
             )
 
     def overlap(self):
-        """Inner product <s0|s1> of the two memory states: a float, or an
-        array over the leading axes."""
-        # vecdot, not the C_q kernel's clipped product sum: it lands nearer the
-        # exact sum, and the fidelity-saturation report pins its last bits.
-        overlap = np.vecdot(self.amp[..., 0, :], self.amp[..., 1, :])
+        """<s0|s1> of the memory states, as :func:`complexity` sums it: a float, or an array."""
+        overlap = _overlap(self.amp)
         return float(overlap) if overlap.ndim == 0 else overlap
 
 
@@ -97,11 +94,14 @@ def quantum_statistical_complexity(model: QuantumModel) -> float | np.ndarray:
     return float(c_q) if c_q.ndim == 0 else c_q
 
 
+def _overlap(amp):
+    """<s0|s1> of memory states ``amp``; clipped, as rounding can pass 1 where rows merge."""
+    return np.minimum((amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1), 1.0)
+
+
 def _memory_entropy(amp, weight, merged):
-    """Overlap of the memory states ``amp`` (shape ``(..., 2, 2)``) and the
-    entropy (bits) of their mixture at smaller weight ``weight``: 0 where ``merged``."""
-    # Rounding can lift the overlap of two unit vectors past 1 where the rows merge.
-    overlap = np.minimum((amp[..., 0, :] * amp[..., 1, :]).sum(axis=-1), 1.0)
+    """``amp``'s overlap and mixture entropy (bits) at smaller weight ``weight``; 0 if merged."""
+    overlap = _overlap(amp)
     smaller, _ = mixture_eigenvalues(weight, overlap)
     return overlap, np.where(merged, 0.0, binary_entropy_bits(smaller))
 
@@ -224,7 +224,15 @@ def find_tmax(
     Otherwise the grid argmax is returned, with a warning unless it is a range
     endpoint (a boundary result).
     """
-    lo, hi = t_range
+    check_real(J, "J")
+    check_real(B, "B")
+    check_real(tol, "tol")
+    try:
+        lo, hi = t_range
+        check_real(lo, "lo")
+        check_real(hi, "hi")
+    except (TypeError, ValueError):
+        raise ValueError(f"t_range must be a pair of real numbers, got {t_range!r}") from None
     if not 0.0 < lo < hi < np.inf:  # also rejects NaN
         raise ValueError(f"t_range must satisfy 0 < lo < hi < inf, got {t_range}")
     if not 0.0 < tol < np.inf:  # also rejects NaN

@@ -11,9 +11,9 @@ symbol index of site k (bit 0 <-> spin +1, bit 1 <-> spin -1).  The table is
 one row of weights per class of high index half.  Which energy class each
 entry of those rows takes depends on the ring size alone, so that layout is a
 per-size constant, built on first use (:func:`_class_layout`).  Sums of table
-rows go through :func:`_colsum`; sums of 1-D runs (a row, every other entry)
-are numpy's pairwise sum, and so is the normalizing total of the whole table,
-found without writing the table (:func:`enumerate_ring`).
+rows go through :func:`_colsum`; other sums are numpy's pairwise sum, and so
+is the normalizing total of the whole table, found without writing the table
+(:func:`enumerate_ring`).
 """
 
 from __future__ import annotations
@@ -133,9 +133,8 @@ def site_marginals(ens: RingEnsemble) -> np.ndarray:
 
 
 def magnetization(ens: RingEnsemble) -> float:
-    """Mean spin value at site 0."""
-    up = float(ens.probs[::2].sum())
-    return 2.0 * up - 1.0
+    """Mean spin value at site 0, from its :func:`site_marginals` entry."""
+    return 2.0 * float(site_marginals(ens)[0]) - 1.0
 
 
 def _colsum(a: np.ndarray) -> np.ndarray:

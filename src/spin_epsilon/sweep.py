@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import check_integer, csv_rows
+from .distribution import check_integer, check_real, csv_rows
 from .quantum import complexity
 
 __all__ = [
@@ -66,6 +66,7 @@ class SweepRow:
 
 def compute_row(J: float, B: float, T: float) -> SweepRow:
     """Evaluate one sweep point from scratch (no hidden state)."""
+    check_real(T, "T")
     return run_sweep(J, B, T)[0]
 
 
@@ -95,6 +96,8 @@ def sweep_table(J: float, B: float, grid) -> np.ndarray:
     """Every grid point (a scalar is one point) as a float64 row of the 13 CSV columns;
     the ratio C_mu / C_q is NaN where C_q < RATIO_FLOOR.  Aborts naming the first T
     where C_q > C_mu beyond round-off: a construction bug."""
+    check_real(J, "J")
+    check_real(B, "B")
     temperatures = np.asarray(grid, dtype=float)
     stats = complexity(J, B, temperatures)  # the grid's own shape: 0-d is cheapest
     T, c_mu, c_q = (x.reshape(-1) for x in (temperatures, stats.c_mu, stats.c_q))

@@ -16,10 +16,11 @@ the primary one:
 Each check builds every reference once: one enumeration per ring size, one
 unifilar expansion per start, one stacked eigensolve over the entropy grid.
 The random-draw checks draw their parameter points as rows (J, B, T) in
-blocks, in a fixed RNG order, and build each block's transition matrices,
-models and unitaries in one broadcast call each, so a block is one array pass
-through the tables, the circuit walk and the fidelity bound; a failure names
-the first failing draw in draw order.  A block's record tables of the
+blocks, in a fixed RNG order, and build each block's transition matrices and
+models in one broadcast call each (its unitaries in one ``math`` rotation per
+draw, which keeps them bit-identical to single draws), so a block is one array
+pass through the tables, the circuit walk and the fidelity bound; a failure
+names the first failing draw in draw order.  A block's record tables of the
 check's depth hold at most ``_BLOCK_ENTRIES`` entries, so a block is
 ``max(1, _BLOCK_ENTRIES >> depth)`` draws: 32 for fidelity's depth-12
 tables, and every draw of a circuit check at the ``_BUDGETS``.  Checks run

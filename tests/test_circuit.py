@@ -23,7 +23,8 @@ from spin_epsilon import (
     transition_matrix,
 )
 from spin_epsilon import circuit
-from spin_epsilon.circuit import MAX_DEPTH, BranchLayer, SyncReport
+from spin_epsilon.circuit import BranchLayer, SyncReport
+from spin_epsilon.classical import MAX_TABLE_LENGTH
 from spin_epsilon.ising import transition_arrays
 from spin_epsilon.verify import _draw
 
@@ -129,8 +130,8 @@ def test_exact_distribution_random_draws():
 
 def test_distribution_length_guards():
     su = unitaries_for(1.0, 0.3, 2.0)
-    for length in (0, MAX_DEPTH + 1):
-        message = re.escape(f"length must be in [1, {MAX_DEPTH}], got {length}")
+    for length in (0, MAX_TABLE_LENGTH + 1):
+        message = re.escape(f"length must be in [1, {MAX_TABLE_LENGTH}], got {length}")
         with pytest.raises(ValueError, match=message):
             exact_output_distribution(su, 0, length)
         # The public generator guards its own depth before walking a branch.
@@ -313,8 +314,8 @@ def test_layer_length_counts_branches_and_keeps_zero_outcomes():
 def test_exact_distribution_at_max_depth():
     tm = transition_matrix(IsingParams(1.0, 0.3, 2.0))
     su = build_step_unitaries(build_quantum_model(tm))
-    circuit = exact_output_distribution(su, 1, MAX_DEPTH)
-    classical = future_distribution(tm, 1, MAX_DEPTH)
+    circuit = exact_output_distribution(su, 1, MAX_TABLE_LENGTH)
+    classical = future_distribution(tm, 1, MAX_TABLE_LENGTH)
     np.testing.assert_allclose(circuit.probs, classical.probs, atol=1e-12, rtol=0)
 
 

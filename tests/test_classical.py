@@ -295,6 +295,8 @@ INTEGER_SITES = [
      "index must be 0 or 1, got {}", 1.0),
     ("sample_quantum_trajectory.start", lambda v: sample_quantum_trajectory(_SU, v, 3, 0), 0, 1,
      "start must be 0 or 1, got {}", 1.0),
+    ("branch_layers.start", lambda v: exact_output_distribution(_SU, v, 3), 0, 1,
+     "start must be 0 or 1, got {}", 1.0),
     ("future_tables.length", lambda v: future_distribution(_TM, 0, v), 1, 20,
      "length must be in [1, 20], got {}", 2.0),
     ("branch_layers.length", lambda v: exact_output_distribution(_SU, 0, v), 1, 20,

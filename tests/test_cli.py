@@ -332,7 +332,7 @@ VERIFY_LINES = {
 VERIFY_SEEDED = {
     ("quick", 0): ("1.55e-15", "1.55e-15"),
     ("quick", 7): ("9.99e-16", "1.78e-15"),
-    ("quick", 42): ("1.22e-15", "2.89e-15"),
+    ("quick", 42): ("1.11e-15", "2.89e-15"),
     ("quick", 123): ("1.11e-15", "1.44e-15"),
     ("full", 42): ("2.89e-15", "4.88e-15"),
 }

@@ -134,18 +134,21 @@ def test_merged_rows_overlap_is_at_most_one(J, T):
 
 
 def test_scalar_routes_equal_complexity_bit_for_bit():
-    # One closed form behind every route: C_mu and C_q per draw equal the
-    # array route's, and stacked models (two leading axes) give the per-draw values.
+    # One closed form behind every route: the overlap, C_mu and C_q per draw
+    # equal the array route's, and stacked models (two leading axes) give the
+    # per-draw values.
     points = verify._draw(np.random.default_rng(1), 2000)
     stats = complexity(*points.T)
     models = []
     for k, point in enumerate(points.tolist()):
         tm = transition_matrix(IsingParams(*point))
         models.append(build_quantum_model(tm))
+        assert models[-1].overlap() == stats.overlap[k]
         assert statistical_complexity(tm) == stats.c_mu[k]
         assert quantum_statistical_complexity(models[-1]) == stats.c_q[k]
     stacked = TransitionMatrix(*transition_arrays(*points.reshape(40, 50, 3).transpose(2, 0, 1)))
     model = build_quantum_model(stacked)
+    assert model.overlap().tobytes() == stats.overlap.tobytes()
     assert statistical_complexity(stacked).tobytes() == stats.c_mu.tobytes()
     assert quantum_statistical_complexity(model).tobytes() == stats.c_q.tobytes()
     densities = stationary_density(model)
@@ -428,6 +431,21 @@ def test_find_tmax_input_guards():
             with pytest.raises(ValueError):
                 find_tmax(1.0, 0.3, t_range, tol)
         assert caught == [], (t_range, tol)
+    # J, B, the ends of t_range and tol are real scalars, and t_range is a pair:
+    # a bad one is a ValueError that starts with its name.
+    for name, args in [
+        ("J", (np.array([1.0, 2.0]), 0.3)), ("J", (np.array([1.0]), 0.3)),
+        ("J", (np.array(1.0), 0.3)), ("J", (True, 0.3)), ("J", ("1", 0.3)),
+        ("B", (1.0, np.array([0.3]))), ("B", (1.0, 0.3j)),
+        ("t_range", (1.0, 0.3, (0.05, 1.0, 100.0))), ("t_range", (1.0, 0.3, (0.05,))),
+        ("t_range", (1.0, 0.3, 5)), ("t_range", (1.0, 0.3, (True, 100.0))),
+        ("t_range", (1.0, 0.3, ("0.05", 100.0))), ("tol", (1.0, 0.3, (0.05, 100.0), True)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name}"):
+            find_tmax(*args)
+    # Numpy scalars are real scalars: the same result as Python floats.
+    assert find_tmax(np.float64(1.0), np.int64(0), [0.05, np.float32(100.0)]) == find_tmax(
+        1.0, 0.0, (0.05, 100.0))
 
 
 def test_mixture_eigenvalue_edges():

@@ -229,11 +229,12 @@ def reference_site_marginals(ens):
 def test_folded_site_marginals_match_per_site_sums(J, B, T, n_half):
     # Folding the table a site at a time sums in another order: each site
     # stays within 16 ulps of the per-site sums, and the spread across sites
-    # is no wider than theirs, or than 4 ulps.
+    # is no wider than theirs, or than 4 ulps.  The magnetization reads site 0's entry.
     ens = enumerate_ring(IsingParams(J, B, T), n_half)
     reference, folded = reference_site_marginals(ens), site_marginals(ens)
     assert np.all(np.abs(folded - reference) <= 16 * np.spacing(reference))
     assert np.ptp(folded) <= max(np.ptp(reference), 4 * np.spacing(reference[0]))
+    assert magnetization(ens) == 2.0 * folded[0] - 1.0
 
 
 def fsum_middle(a):

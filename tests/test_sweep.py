@@ -193,6 +193,33 @@ def test_sweep_order_and_rerun_identical():
     assert lines == [csv_line(1.0, 0.3, T) for T in grid]
 
 
+# J and B are one real scalar each, and so is compute_row's T (inf included);
+# a 0-d array is not a scalar.
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: compute_row(1, 0.3, [1.0, 2.0]), "T", id="compute_row.T=list"),
+        pytest.param(lambda: compute_row(1, 0.3, []), "T", id="compute_row.T=empty"),
+        pytest.param(lambda: compute_row(1, 0.3, np.array(2.0)), "T", id="compute_row.T=0d"),
+        pytest.param(lambda: compute_row(np.ones(2), 0.3, 2), "J", id="compute_row.J=array"),
+        pytest.param(lambda: compute_row(1, "0.3", 2), "B", id="compute_row.B=str"),
+        pytest.param(lambda: sweep_table(np.ones(2), 0.3, [1.0, 2.0]), "J",
+                     id="sweep_table.J=array"),
+        pytest.param(lambda: sweep_table(1.0, True, [1.0, 2.0]), "B", id="sweep_table.B=True"),
+        pytest.param(lambda: run_sweep(1.0, np.array([0.3]), [1.0]), "B", id="run_sweep.B=array"),
+    ],
+)
+def test_sweep_entry_points_take_real_scalars(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        call()
+
+
+def test_sweep_entry_points_take_numpy_scalars_and_infinite_t():
+    row = compute_row(np.float64(1.0), np.int64(0), math.inf)
+    assert row == compute_row(1.0, 0.0, math.inf) and row.c_q_bits == 0.0
+    assert run_sweep(np.float32(1.0), 0, [2.0]) == run_sweep(1.0, 0.0, [2.0])
+
+
 def test_sweep_rows_respect_memory_ordering():
     grid = temperature_grid(0.05, 100.0, 60, "log")
     for row in run_sweep(1.0, 0.3, grid):
