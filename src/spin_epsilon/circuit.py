@@ -53,8 +53,6 @@ __all__ = [
 _BLOCK = 1024  # first-level block of the normalization sums: slack <= 4.6e-13 at depth 20
 SYNC_TOL = 1e-12  # largest | |<memory|s_j>| - 1 | assert_synchronization passes
 
-_KET0 = np.array([1.0, 0.0])
-
 
 @dataclass(frozen=True, eq=False)
 class StepUnitaries:
@@ -73,11 +71,10 @@ class StepUnitaries:
             raise ValueError(f"expected v and u of shape (..., 2, 2), got v {self.v.shape} "
                              f"and u {self.u.shape}")
 
-    def causal_state(self, index: int) -> np.ndarray:
-        """Memory state vector |s_index>, shape ``(..., 2)``."""
-        check_integer(index, 0, 1, "index must be 0 or 1, got {value}")
-        state = self.v @ _KET0
-        return state if index == 0 else (self.u @ state[..., None])[..., 0]
+    def memory_states(self) -> np.ndarray:
+        """Both memory states as rows, shape ``(..., 2, 2)``: |s0> = V|0> and |s1> = U|s0>."""
+        state = self.v[..., 0]
+        return np.stack([state, (self.u @ state[..., None])[..., 0]], axis=-2)
 
 
 def _rotations(x0: float, y0: float, x1: float, y1: float) -> tuple[float, ...]:
@@ -143,7 +140,7 @@ def branch_layers(su: StepUnitaries, start: int, length: int) -> Iterator[Branch
     check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
     check_integer(length, 1, MAX_TABLE_LENGTH, "length must be in [1, {hi}], got {value}")
     # pair[r, k, j]: amplitude j of run r's ancilla paired with emitted outcome k.
-    pair = np.stack([su.causal_state(0), su.causal_state(1)], axis=-2).reshape(-1, 2, 2)
+    pair = su.memory_states().reshape(-1, 2, 2)
     runs = len(pair)
     layer = BranchLayer(np.ones((runs, 1)), pair[:, start, None])  # the start's memory state
     for depth in range(1, length + 1):
@@ -259,7 +256,7 @@ def sample_quantum_trajectory(
 
     Each measurement outcome is drawn from its exact branch probability (the
     squared first amplitude ``m0 * m0`` of the current memory vector, one
-    ``scan_states`` threshold per ``su.causal_state``), and the ancilla
+    ``scan_states`` threshold per row of ``su.memory_states()``), and the ancilla
     collapses to the emitted symbol's memory state.  A Generator as ``seed``
     is used as is, continuing its stream.
     """
@@ -267,8 +264,8 @@ def sample_quantum_trajectory(
         raise ValueError(f"sample_quantum_trajectory takes one model, got v of shape {su.v.shape}")
     check_integer(steps, 0, None, "steps must be >= 0, got {value}")
     check_integer(start, 0, 1, "start must be 0 or 1, got {value}")
-    states = (su.causal_state(0), su.causal_state(1))
-    m00, m10 = float(states[0][0]), float(states[1][0])
+    states = su.memory_states()
+    m00, m10 = float(states[0, 0]), float(states[1, 0])
     draws = np.random.default_rng(seed).random(steps)
     outcomes = scan_states(m00 * m00, m10 * m10, start, draws)
     memory = states[int(outcomes[-1]) if steps else start]

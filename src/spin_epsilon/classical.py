@@ -140,15 +140,15 @@ def scan_states(q0: float, q1: float, start: int, draws: np.ndarray) -> np.ndarr
 class EpsilonMachine:
     """Stateful simulator for the two-state unifilar machine.
 
-    Holds the transition matrix, the current causal state and an owned RNG;
-    each :meth:`run` continues from the state the last one ended in.
+    Holds the transition matrix, its causal state (0 at first) and an owned RNG.
+    :meth:`reset` starts or restarts it; each :meth:`run` continues where the last ended.
     """
 
-    def __init__(self, tm: TransitionMatrix, state: int = 0, seed: int | None = None):
+    def __init__(self, tm: TransitionMatrix):
         if tm.t.ndim != 2:
             raise ValueError(f"EpsilonMachine takes one model, got t of shape {tm.t.shape}")
         self.tm = tm
-        self.reset(state, seed)
+        self.reset(0)
 
     def reset(self, state: int, seed: int | None = None) -> None:
         check_integer(state, 0, 1, "state must be 0 or 1, got {value}")

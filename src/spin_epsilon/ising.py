@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import check_real
+
 __all__ = ["IsingParams", "TransitionMatrix", "transition_matrix", "transition_arrays"]
 
 
@@ -71,6 +73,7 @@ class IsingParams:
 
     def __post_init__(self):
         for name in ("J", "B", "T"):
+            check_real(getattr(self, name), name)
             object.__setattr__(self, name, float(getattr(self, name)))
         _validate(self.J, self.B, np.float64(self.T))  # numpy verdicts have .ndim
 

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 MAX_N_HALF = 10  # ring <= 21 spins, <= 2,097,152 configurations
+_N_HALF_RULE = "n_half must be an integer in [1, {hi}], got {value!r}"
 _PAIRWISE_BLOCK = 128  # numpy's pairwise sum adds runs of up to this many entries in 8 lanes
 
 
@@ -105,7 +106,7 @@ def enumerate_ring(params: IsingParams, n_half: int) -> RingEnsemble:
     that is the binary tree, in index order, of the gathered row sums; smaller
     rings, whose blocks span several rows, sum the gathered table.
     """
-    check_integer(n_half, 1, MAX_N_HALF, "n_half must be an integer in [1, {hi}], got {value!r}")
+    check_integer(n_half, 1, MAX_N_HALF, _N_HALF_RULE)
     bonds, spins, index, inv, lo_inv = _class_layout(int(n_half))
     log_w = params.beta * (params.J * bonds + params.B * spins)
     rows = np.exp(log_w - log_w.max()).take(index).take(lo_inv, axis=1)
@@ -202,11 +203,16 @@ def extrapolated_conditional(
     """Ring-size limit of the conditional table, Aitken-accelerated.
 
     The leading finite-ring deviation is geometric in the ring size, so the
-    delta-squared limit of three successive ring sizes removes it.  The
-    extrapolated table is renormalized.
+    delta-squared limit of three distinct, equally spaced ring sizes removes
+    it.  The extrapolated table is renormalized.
     """
     if np.ndim(n_halves) != 1 or len(n_halves) != 3:
         raise ValueError(f"n_halves must be three ring sizes, got {n_halves!r}")
+    for n in n_halves:  # integers before their spacing is taken
+        check_integer(n, 1, MAX_N_HALF, _N_HALF_RULE)
+    a, b, c = n_halves
+    if a == b or b - a != c - b:
+        raise ValueError(f"n_halves must be distinct, equally spaced ring sizes, got {n_halves!r}")
     tables = [
         conditional_from_ring(enumerate_ring(params, n), condition, length).probs
         for n in n_halves

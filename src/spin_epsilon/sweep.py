@@ -75,6 +75,8 @@ def temperature_grid(
 ) -> np.ndarray:
     """Deterministic temperature grid, linear or log spaced (``np.logspace``'s
     points; a range whose log grid overflows to inf is rejected)."""
+    check_real(t_min, "t_min")
+    check_real(t_max, "t_max")
     if not 0 < t_min < t_max < np.inf:  # also rejects NaN
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
     check_integer(points, 2, None, "points must be >= 2, got {value}")

@@ -36,7 +36,7 @@ def unitaries_for(J, B, T):
 def reference_layers(su, start, length):
     """Per-branch walk, one (weight, memory, history) tuple per branch."""
     ancilla = su.v @ np.array([1.0, 0.0])
-    layer = [(1.0, su.causal_state(start), 0)]
+    layer = [(1.0, su.memory_states()[start], 0)]
     for _ in range(length):
         nxt = []
         for weight, memory, history in layer:
@@ -88,7 +88,7 @@ def test_rotation_angle_golden_symmetric_point():
     theta0 = np.arctan2(su.v[1, 0], su.v[0, 0])
     assert abs(theta0 - math.atan2(math.sqrt(1 - t00), math.sqrt(t00))) < 1e-12
     np.testing.assert_allclose(
-        su.causal_state(0), [math.sqrt(t00), math.sqrt(1 - t00)], atol=1e-12
+        su.memory_states()[0], [math.sqrt(t00), math.sqrt(1 - t00)], atol=1e-12
     )
 
 
@@ -365,7 +365,7 @@ def test_sample_zero_steps():
     su = unitaries_for(1.0, 0.3, 2.0)
     symbols, memory = sample_quantum_trajectory(su, 0, 0, seed=3)
     assert symbols.size == 0
-    np.testing.assert_allclose(memory, su.causal_state(0), atol=1e-15)
+    np.testing.assert_allclose(memory, su.memory_states()[0], atol=1e-15)
 
 
 def test_sample_uniform_frequency():

@@ -240,7 +240,7 @@ def reference_walk(q, start, steps, seed):
 def test_samplers_match_reference_loop(J, B, T):
     tm = transition_matrix(IsingParams(J, B, T))
     su = build_step_unitaries(build_quantum_model(tm))
-    memories = (su.causal_state(0), su.causal_state(1))
+    memories = su.memory_states()
     # Thresholds of each backend's own route: t for the machine, the squared
     # first amplitude of each memory vector for the circuit.
     q_classical = (tm.t[0, 0], tm.t[1, 0])
@@ -271,7 +271,7 @@ def test_distribution_string_round_trip():
 def test_machine_rejects_bad_state():
     tm = transition_matrix(IsingParams(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        EpsilonMachine(tm, state=2)
+        EpsilonMachine(tm).reset(2)
     machine = EpsilonMachine(tm)
     with pytest.raises(ValueError):
         machine.run(-1)
@@ -289,10 +289,8 @@ _RING = enumerate_ring(_PARAMS, 3)
 INTEGER_SITES = [
     ("future_tables.start", lambda v: future_distribution(_TM, v, 3), 0, 1,
      "start must be 0 or 1, got {}", 1.0),
-    ("EpsilonMachine.reset.state", lambda v: EpsilonMachine(_TM, v), 0, 1,
+    ("EpsilonMachine.reset.state", lambda v: EpsilonMachine(_TM).reset(v), 0, 1,
      "state must be 0 or 1, got {}", 1.0),
-    ("StepUnitaries.causal_state.index", lambda v: _SU.causal_state(v), 0, 1,
-     "index must be 0 or 1, got {}", 1.0),
     ("sample_quantum_trajectory.start", lambda v: sample_quantum_trajectory(_SU, v, 3, 0), 0, 1,
      "start must be 0 or 1, got {}", 1.0),
     ("branch_layers.start", lambda v: exact_output_distribution(_SU, v, 3), 0, 1,

@@ -5,9 +5,10 @@ stderr, warnings and ``--out`` file hash to one sha256, compared with
 ``identity_manifest.json``.  The manifest's library section hashes the bits
 of library calls no CLI command makes: stacked and per-draw complexities,
 ``find_tmax`` on a (J, B) grid, ring tables and stacked circuit tables.
-Float results depend on the Python and numpy builds, so the manifest names
-the versions it was captured with, and on any other build the test fails and
-names both.  To capture the manifest again, for example after a deliberate
+Float results depend on the Python and numpy builds and on the CPU kernels
+numpy dispatches to, so the manifest names the versions and the float64
+dispatch targets it was captured with, and on any other build the test fails
+and names both.  To capture the manifest again, for example after a deliberate
 change of output, and print each entry added, dropped or changed::
 
     PYTHONPATH=src python tests/test_identity.py
@@ -25,6 +26,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy.lib.introspect import opt_func_info
 
 from spin_epsilon import (
     IsingParams,
@@ -47,6 +50,9 @@ from spin_epsilon.verify import _draw
 MANIFEST = Path(__file__).with_name("identity_manifest.json")
 POINTS = [("1", "0.3"), ("-1", "2.5"), ("0.7", "-0.4")]  # (J, B)
 SECTIONS = ("entries", "library")
+# The float64 ufuncs the package calls whose kernel numpy picks by CPU, and
+# whose results may differ in the last bit between kernels.
+DISPATCHED = ("exp", "log", "log1p", "log2", "log10", "power")
 
 
 def _corpus() -> dict[str, list[str]]:
@@ -157,7 +163,10 @@ def bits(values: list) -> str:
 
 
 def _versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    info = opt_func_info(func_name=f"^({'|'.join(DISPATCHED)})$", signature="float64")
+    targets = [f"{name} {next(iter(info[name].values()))['current']}" for name in DISPATCHED]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "float64 dispatch": ", ".join(targets)}
 
 
 def _compute(section: str) -> dict[str, str]:
@@ -182,13 +191,17 @@ def differences(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def _assert_section_matches(section: str) -> None:
-    manifest = json.loads(MANIFEST.read_text())
-    recorded = {key: manifest[key] for key in _versions()}
+def _assert_same_build(manifest: dict) -> None:
+    recorded = {key: manifest.get(key) for key in _versions()}
     assert recorded == _versions(), (
         f"manifest captured with {recorded}, this build is {_versions()}: "
         "float output may differ in the last digits; capture the manifest again"
     )
+
+
+def _assert_section_matches(section: str) -> None:
+    manifest = json.loads(MANIFEST.read_text())
+    _assert_same_build(manifest)
     computed = _compute(section)
     assert list(manifest[section]) == list(computed)
     changed = [name for name, value in computed.items() if value != manifest[section][name]]
@@ -209,7 +222,17 @@ def test_differences_name_every_added_dropped_and_changed_entry():
     assert differences(old, new) == [
         "added entries: d", "dropped entries: b", "changed library: c"]
     assert differences(new, new) == []
-    assert differences({}, new)[:2] == [f"{key}: None -> {value}" for key, value in _versions().items()]
+    assert differences({}, new)[:len(_versions())] == [
+        f"{key}: None -> {value}" for key, value in _versions().items()]
+
+
+def test_manifest_from_another_dispatch_target_fails_naming_both_keys():
+    build = _versions()
+    other = {**build, "float64 dispatch": "exp baseline(X86_V2), log baseline(X86_V2)"}
+    with pytest.raises(AssertionError) as failure:
+        _assert_same_build(other)
+    assert str(other) in str(failure.value) and str(build) in str(failure.value)
+    _assert_same_build(build)
 
 
 if __name__ == "__main__":

@@ -121,6 +121,30 @@ def test_invalid_parameters_rejected(kwargs):
         transition_arrays(kwargs["J"], kwargs["B"], [1.0, kwargs["T"]])
 
 
+# J, B and T are each one real number: not a bool, a string, a complex number or
+# an array, which float() would convert or leak its own message for.
+@pytest.mark.parametrize(
+    "J, B, T, name",
+    [
+        pytest.param("1", 0, 1, "J", id="J=str"),
+        pytest.param(True, 0, 1, "J", id="J=True"),
+        pytest.param(np.array([1.0]), 0, 1, "J", id="J=array"),
+        pytest.param(1j, 0, 1, "J", id="J=complex"),
+        pytest.param(1, np.array(0.3), 1, "B", id="B=0d"),
+        pytest.param(1, 0, "inf", "T", id="T=str"),
+    ],
+)
+def test_parameters_must_be_real_numbers(J, B, T, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        IsingParams(J, B, T)
+
+
+def test_parameters_take_ints_numpy_scalars_and_infinite_t():
+    params = IsingParams(np.int64(1), np.float32(0.5), math.inf)
+    assert params == IsingParams(1.0, 0.5, math.inf)
+    assert all(type(value) is float for value in vars(params).values())
+
+
 def test_underflow_guard():
     with pytest.raises(ValueError):
         transition_matrix(IsingParams(3000.0, 0.0, 0.01))

@@ -148,6 +148,23 @@ def test_extrapolation_needs_three_ring_sizes():
             extrapolated_conditional(IsingParams(1.0, 0.3, 2.0), 1, 1, n_halves)
 
 
+# Aitken's step removes a geometric error only over three distinct, equally
+# spaced sizes: (3, 3, 3) is the n_half = 3 ring itself (8.3e-3 off at length
+# 3), and (8, 8, 9) and (4, 6, 10) are 2.1e-6 off.
+@pytest.mark.parametrize("n_halves", [(3, 3, 3), (8, 8, 9), (4, 6, 10)])
+def test_extrapolation_needs_equally_spaced_ring_sizes(n_halves):
+    message = re.escape(f"n_halves must be distinct, equally spaced ring sizes, got {n_halves!r}")
+    with pytest.raises(ValueError, match=message):
+        extrapolated_conditional(IsingParams(1.0, 0.3, 2.0), 1, 3, n_halves)
+
+
+def test_extrapolation_takes_descending_ring_sizes():
+    params = IsingParams(1.0, 0.3, 2.0)
+    exact = future_distribution(transition_matrix(params), 0, 3).probs
+    table = extrapolated_conditional(params, 1, 3, (10, 9, 8)).probs
+    assert float(np.max(np.abs(table - exact))) < 1e-13
+
+
 def test_condition_of_probability_zero_is_named(ring_cache):
     # At B = 5, T = 0.01 a down spin costs 1400 in log weight: x_0 = -1
     # underflows to 0 on every ring, and its 0/0 table was all NaN.

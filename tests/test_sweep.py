@@ -193,8 +193,8 @@ def test_sweep_order_and_rerun_identical():
     assert lines == [csv_line(1.0, 0.3, T) for T in grid]
 
 
-# J and B are one real scalar each, and so is compute_row's T (inf included);
-# a 0-d array is not a scalar.
+# J and B are one real scalar each, and so are compute_row's T (inf included)
+# and temperature_grid's ends; a 0-d array is not a scalar.
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -207,6 +207,14 @@ def test_sweep_order_and_rerun_identical():
                      id="sweep_table.J=array"),
         pytest.param(lambda: sweep_table(1.0, True, [1.0, 2.0]), "B", id="sweep_table.B=True"),
         pytest.param(lambda: run_sweep(1.0, np.array([0.3]), [1.0]), "B", id="run_sweep.B=array"),
+        pytest.param(lambda: temperature_grid(True, 100, 5), "t_min",
+                     id="temperature_grid.t_min=True"),
+        pytest.param(lambda: temperature_grid("0.05", 100, 5), "t_min",
+                     id="temperature_grid.t_min=str"),
+        pytest.param(lambda: temperature_grid(np.array([0.05]), 100, 5), "t_min",
+                     id="temperature_grid.t_min=array"),
+        pytest.param(lambda: temperature_grid(0.05, np.array([100.0, 200.0]), 5), "t_max",
+                     id="temperature_grid.t_max=array"),
     ],
 )
 def test_sweep_entry_points_take_real_scalars(call, name):
